@@ -44,7 +44,6 @@ func main() {
 type killChainRow struct {
 	Devs            int     `json:"devs"`
 	Seed            int64   `json:"seed"`
-	Queue           string  `json:"queue"`
 	Shards          int     `json:"shards"`
 	WallMS          float64 `json:"wall_ms"`
 	SimSeconds      float64 `json:"sim_seconds"`
@@ -62,7 +61,6 @@ type killChainRow struct {
 // event chain with no simulation payload.
 type schedRow struct {
 	Events         int     `json:"events"`
-	Queue          string  `json:"queue"`
 	WallMS         float64 `json:"wall_ms"`
 	EventsPerSec   float64 `json:"events_per_wall_sec"`
 	NSPerEvent     float64 `json:"ns_per_event"`
@@ -131,7 +129,11 @@ func run() error {
 	if err := writeSuite(*outDir, "BENCH_killchain.json", "killchain", kill); err != nil {
 		return err
 	}
-	if err := writeSuite(*outDir, "BENCH_scheduler.json", "scheduler", benchScheduler()); err != nil {
+	sched, err := benchScheduler()
+	if err != nil {
+		return err
+	}
+	if err := writeSuite(*outDir, "BENCH_scheduler.json", "scheduler", sched); err != nil {
 		return err
 	}
 	// The flood suite writes its own before/after pair: _before pins
@@ -315,7 +317,7 @@ func benchFlood(withFlows bool, shards int) floodRow {
 func benchFloodSharded(withFlows bool, shards int) floodRow {
 	const packets = 200_000
 	const lookahead = sim.Millisecond // the link delay below
-	set := sim.NewShardSet(1, shards, lookahead, sim.QueueHeap)
+	set := sim.NewShardSet(1, shards, lookahead)
 	w := netsim.New(set.CtlSched())
 	w.EnableSharding(set)
 
@@ -403,7 +405,6 @@ func runKillChain(cfg ddosim.Config) (killChainRow, error) {
 	row := killChainRow{
 		Devs:            cfg.NumDevs,
 		Seed:            cfg.Seed,
-		Queue:           string(cfg.SchedQueue),
 		Shards:          cfg.Shards,
 		WallMS:          float64(wall.Microseconds()) / 1000,
 		SimSeconds:      cfg.SimDuration.Seconds(),
@@ -423,30 +424,27 @@ func runKillChain(cfg ddosim.Config) (killChainRow, error) {
 	return row, nil
 }
 
-// benchKillChain sweeps the kill chain over (devs, seed, queue backend,
-// shard count). Shard count 0 is the classic single-queue kernel;
-// counts >= 1 run the sharded parallel kernel, whose artifacts are
-// byte-identical across the curve — only the wall-clock columns move.
+// benchKillChain sweeps the kill chain over (devs, seed, shard count).
+// Shard count 0 is the classic single-queue kernel; counts >= 1 run the
+// sharded parallel kernel, whose artifacts are byte-identical across
+// the curve — only the wall-clock columns move.
 func benchKillChain(devCounts []int, seeds int, shardCounts []int) ([]killChainRow, error) {
 	var rows []killChainRow
 	for _, devs := range devCounts {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			for _, queue := range []ddosim.QueueKind{ddosim.QueueHeap, ddosim.QueueCalendar} {
-				for _, shards := range shardCounts {
-					cfg := ddosim.DefaultConfig(devs)
-					cfg.Seed = seed
-					cfg.SchedQueue = queue
-					cfg.Shards = shards
-					cfg.SimDuration = 300 * ddosim.Second
-					cfg.AttackDuration = 30
-					cfg.RecruitTimeout = 60 * ddosim.Second
+			for _, shards := range shardCounts {
+				cfg := ddosim.DefaultConfig(devs)
+				cfg.Seed = seed
+				cfg.Shards = shards
+				cfg.SimDuration = 300 * ddosim.Second
+				cfg.AttackDuration = 30
+				cfg.RecruitTimeout = 60 * ddosim.Second
 
-					row, err := runKillChain(cfg)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, row)
+				row, err := runKillChain(cfg)
+				if err != nil {
+					return nil, err
 				}
+				rows = append(rows, row)
 			}
 		}
 	}
@@ -509,41 +507,38 @@ func mallocCount() uint64 {
 // benchScheduler measures raw kernel throughput: a chain of
 // self-rescheduling no-op events, the simulator's fundamental cost
 // floor.
-func benchScheduler() []schedRow {
+func benchScheduler() ([]schedRow, error) {
 	var rows []schedRow
 	for _, events := range []int{100_000, 1_000_000} {
-		for _, queue := range []sim.QueueKind{sim.QueueHeap, sim.QueueCalendar} {
-			sched := sim.NewSchedulerQueue(1, queue)
-			left := events
-			var tick func()
-			tick = func() {
-				left--
-				if left > 0 {
-					sched.Schedule(sim.Microsecond, tick)
-				}
+		sched := sim.NewScheduler(1)
+		left := events
+		var tick func()
+		tick = func() {
+			left--
+			if left > 0 {
+				sched.Schedule(sim.Microsecond, tick)
 			}
-			sched.Schedule(0, tick)
-			start := time.Now()
-			mallocs0 := mallocCount()
-			if err := sched.RunAll(); err != nil {
-				continue
-			}
-			mallocs := mallocCount() - mallocs0
-			wall := time.Since(start)
-			row := schedRow{
-				Events:         events,
-				Queue:          string(queue),
-				WallMS:         float64(wall.Microseconds()) / 1000,
-				AllocsPerEvent: float64(mallocs) / float64(events),
-			}
-			if secs := wall.Seconds(); secs > 0 {
-				row.EventsPerSec = float64(events) / secs
-				row.NSPerEvent = float64(wall.Nanoseconds()) / float64(events)
-			}
-			rows = append(rows, row)
 		}
+		sched.Schedule(0, tick)
+		start := time.Now()
+		mallocs0 := mallocCount()
+		if err := sched.RunAll(); err != nil {
+			return nil, fmt.Errorf("scheduler bench, %d events: %w", events, err)
+		}
+		mallocs := mallocCount() - mallocs0
+		wall := time.Since(start)
+		row := schedRow{
+			Events:         events,
+			WallMS:         float64(wall.Microseconds()) / 1000,
+			AllocsPerEvent: float64(mallocs) / float64(events),
+		}
+		if secs := wall.Seconds(); secs > 0 {
+			row.EventsPerSec = float64(events) / secs
+			row.NSPerEvent = float64(wall.Nanoseconds()) / float64(events)
+		}
+		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 func writeSuite(dir, file, name string, rows any) error {

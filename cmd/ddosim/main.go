@@ -61,7 +61,6 @@ func run() error {
 		flowsOut  = flag.String("flows-out", "", "write the labeled NetFlow-style flow records to this file (CSV; a .jsonl extension selects JSONL)")
 		tsOut     = flag.String("ts-out", "", "write the windowed time-series metrics to this file (CSV; a .jsonl extension selects JSONL)")
 		window    = flag.Float64("window", 1, "time-series window size in seconds")
-		schedQ    = flag.String("sched-queue", "heap", "event-queue backend: heap|calendar (byte-identical results, speed only)")
 		shards    = flag.Int("shards", 0, "logical-process shards for the parallel kernel (0 = classic single-queue kernel; results are byte-identical across shard counts >= 1)")
 		faultSpec = flag.String("faults", "", "fault-injection spec: \"intensity=0.5\" or \"kind:key=val,...;...\" (kinds: flap|loss|degrade|crash|cnc|sink)")
 		cncReplay = flag.Bool("cnc-replay", false, "C&C replays the attack order (trimmed) to bots that register during the attack window")
@@ -100,11 +99,6 @@ func run() error {
 		return err
 	}
 	cfg.Churn = mode
-	kind, err := ddosim.ParseQueueKind(*schedQ)
-	if err != nil {
-		return err
-	}
-	cfg.SchedQueue = kind
 	if *shards < 0 {
 		return fmt.Errorf("shards must be >= 0, got %d", *shards)
 	}

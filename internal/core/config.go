@@ -193,13 +193,6 @@ type Config struct {
 	// coincide).
 	Shards int
 
-	// SchedQueue selects the event-queue backend (sim.QueueHeap or
-	// sim.QueueCalendar, mirroring NS-3's scheduler family). Empty
-	// selects the heap. Backends are observationally identical — the
-	// same seed yields byte-identical artifacts on either — so this is
-	// purely a performance knob.
-	SchedQueue sim.QueueKind
-
 	// FlowActiveTimeout and FlowIdleTimeout tune the NetFlow-style
 	// flow exporter: a flow is checkpointed after ActiveTimeout of
 	// continuous activity and closed after IdleTimeout of silence.
@@ -271,8 +264,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: CanaryFraction %v outside [0,1]", c.CanaryFraction)
 	case c.AttackMethod != "" && !mirai.KnownMethod(c.AttackMethod):
 		return fmt.Errorf("core: unknown attack method %q", c.AttackMethod)
-	case c.SchedQueue != "" && c.SchedQueue != sim.QueueHeap && c.SchedQueue != sim.QueueCalendar:
-		return fmt.Errorf("core: unknown scheduler queue %q", c.SchedQueue)
 	case c.FlowActiveTimeout < 0 || c.FlowIdleTimeout < 0 || c.WindowSize < 0:
 		return fmt.Errorf("core: negative telemetry interval")
 	case c.Shards < 0:

@@ -51,24 +51,19 @@ func (a artifacts) equal(t *testing.T, b artifacts, what string) {
 // replaced with a deterministic counter so the report's observability
 // summary is seed-determined too.
 func runOnce(t *testing.T, seed int64) artifacts {
-	return runOnceQueue(t, seed, "")
+	return runOnceFaults(t, seed, faults.Config{})
 }
 
-func runOnceQueue(t *testing.T, seed int64, queue sim.QueueKind) artifacts {
-	return runOnceFaults(t, seed, queue, faults.Config{})
+func runOnceFaults(t *testing.T, seed int64, fc faults.Config) artifacts {
+	return runOnceShards(t, seed, 0, fc)
 }
 
-func runOnceFaults(t *testing.T, seed int64, queue sim.QueueKind, fc faults.Config) artifacts {
-	return runOnceShards(t, seed, queue, 0, fc)
-}
-
-// runOnceShards is the fully parameterized scenario driver: queue
-// backend, shard count (0 = classic kernel), and fault scenario.
-func runOnceShards(t *testing.T, seed int64, queue sim.QueueKind, shards int, fc faults.Config) artifacts {
+// runOnceShards is the fully parameterized scenario driver: shard
+// count (0 = classic kernel) and fault scenario.
+func runOnceShards(t *testing.T, seed int64, shards int, fc faults.Config) artifacts {
 	t.Helper()
 	cfg := core.DefaultConfig(10)
 	cfg.Seed = seed
-	cfg.SchedQueue = queue
 	cfg.Shards = shards
 	cfg.Churn = churn.Dynamic
 	cfg.SimDuration = 300 * sim.Second
@@ -139,25 +134,6 @@ func TestSameSeedByteIdenticalArtifacts(t *testing.T) {
 	}
 }
 
-// TestQueueBackendsByteIdenticalArtifacts pins the scheduler-backend
-// contract: the heap and calendar queues implement the same (time, seq)
-// total order, so swapping them must not move a single byte in any
-// exported artifact. This is what makes SchedQueue a pure performance
-// knob.
-func TestQueueBackendsByteIdenticalArtifacts(t *testing.T) {
-	aH := runOnceQueue(t, 1234, sim.QueueHeap)
-	aC := runOnceQueue(t, 1234, sim.QueueCalendar)
-	aH.equal(t, aC, "heap vs calendar")
-
-	// The same contract must hold inside the sharded family: per-shard
-	// schedulers on different backends, any shard count, same bytes.
-	for _, n := range []int{1, 4} {
-		sH := runOnceShards(t, 1234, sim.QueueHeap, n, faults.Config{})
-		sC := runOnceShards(t, 1234, sim.QueueCalendar, n, faults.Config{})
-		sH.equal(t, sC, fmt.Sprintf("heap vs calendar, %d shards", n))
-	}
-}
-
 // TestShardCountInvariantArtifacts is the sharded kernel's core
 // determinism claim: within the sharded family, the shard count is a
 // pure deployment knob — every exported artifact (report, both trace
@@ -167,17 +143,17 @@ func TestQueueBackendsByteIdenticalArtifacts(t *testing.T) {
 // hold; any leak of shard topology into event order lands here as a
 // byte diff.
 func TestShardCountInvariantArtifacts(t *testing.T) {
-	base := runOnceShards(t, 1234, "", 1, faults.Config{})
+	base := runOnceShards(t, 1234, 1, faults.Config{})
 	for _, n := range []int{2, 4, 8} {
-		a := runOnceShards(t, 1234, "", n, faults.Config{})
+		a := runOnceShards(t, 1234, n, faults.Config{})
 		base.equal(t, a, fmt.Sprintf("shards=1 vs shards=%d", n))
 	}
 
 	// Same-seed reproducibility within one shard count (goroutine
 	// scheduling must not be observable), and seed sensitivity.
-	again := runOnceShards(t, 1234, "", 4, faults.Config{})
+	again := runOnceShards(t, 1234, 4, faults.Config{})
 	base.equal(t, again, "shards=4 repeat")
-	other := runOnceShards(t, 99, "", 4, faults.Config{})
+	other := runOnceShards(t, 99, 4, faults.Config{})
 	if bytes.Equal(base.rep, other.rep) {
 		t.Error("different seeds produced identical sharded report JSON; scenario is not seed-sensitive")
 	}
@@ -189,8 +165,8 @@ func TestShardCountInvariantArtifacts(t *testing.T) {
 // outages) must leave artifacts byte-identical across shard counts.
 func TestShardCountInvariantUnderFaults(t *testing.T) {
 	fc := faults.AtIntensity(0.8)
-	a1 := runOnceShards(t, 1234, "", 1, fc)
-	a4 := runOnceShards(t, 1234, "", 4, fc)
+	a1 := runOnceShards(t, 1234, 1, fc)
+	a4 := runOnceShards(t, 1234, 4, fc)
 	a1.equal(t, a4, "fault scenario, shards=1 vs shards=4")
 	if !bytes.Contains(a1.rep, []byte(`"faults"`)) {
 		t.Error("sharded fault scenario left no stats in the report")
@@ -240,8 +216,8 @@ func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 // serialize byte-identically — and the scenario must actually inject.
 func TestFaultScenarioByteIdenticalArtifacts(t *testing.T) {
 	fc := faults.AtIntensity(0.8)
-	a1 := runOnceFaults(t, 1234, "", fc)
-	a2 := runOnceFaults(t, 1234, "", fc)
+	a1 := runOnceFaults(t, 1234, fc)
+	a2 := runOnceFaults(t, 1234, fc)
 	a1.equal(t, a2, "same-seed fault runs")
 
 	if !bytes.Contains(a1.rep, []byte(`"faults"`)) {

@@ -135,7 +135,7 @@ func New(cfg Config) (*Simulation, error) {
 		registeredEver: make(map[netip.Addr]bool),
 	}
 	if cfg.Shards > 0 {
-		s.set = sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.LinkDelay, cfg.SchedQueue)
+		s.set = sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.LinkDelay)
 		s.sched = s.set.CtlSched()
 		// The scheduler profiler hook stays off: a per-event callback
 		// into one shared profiler would race across shard workers.
@@ -155,7 +155,7 @@ func New(cfg Config) (*Simulation, error) {
 			return ctl.Idx(), ctl.NextEmit()
 		})
 	} else {
-		s.sched = sim.NewSchedulerQueue(cfg.Seed, cfg.SchedQueue)
+		s.sched = sim.NewScheduler(cfg.Seed)
 		s.sched.SetHook(s.obs.SchedulerHook())
 	}
 	s.net = netsim.New(s.sched)

@@ -11,15 +11,14 @@ import (
 
 // Sharded-network determinism: a star topology with cross-shard UDP
 // traffic, loss, drop-tail pressure, and flow accounting must produce
-// byte-identical artifacts at 1, 2, 4, and 8 shards on either queue
-// backend.
+// byte-identical artifacts at 1, 2, 4, and 8 shards.
 
 const shardNetHosts = 6
 
-func runShardNet(t *testing.T, seed int64, shards int, kind sim.QueueKind) string {
+func runShardNet(t *testing.T, seed int64, shards int) string {
 	t.Helper()
 	const L = 2 * sim.Millisecond
-	set := sim.NewShardSet(seed, shards, L, kind)
+	set := sim.NewShardSet(seed, shards, L)
 	w := New(set.CtlSched())
 	w.EnableSharding(set)
 
@@ -82,16 +81,14 @@ func runShardNet(t *testing.T, seed int64, shards int, kind sim.QueueKind) strin
 }
 
 func TestShardedNetworkByteIdentical(t *testing.T) {
-	ref := runShardNet(t, 7, 1, sim.QueueHeap)
+	ref := runShardNet(t, 7, 1)
 	if !strings.Contains(ref, "udp") {
 		t.Fatalf("reference artifact has no flow records:\n%s", ref)
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, kind := range []sim.QueueKind{sim.QueueHeap, sim.QueueCalendar} {
-			got := runShardNet(t, 7, shards, kind)
-			if got != ref {
-				t.Fatalf("shards=%d queue=%s diverged:\nref:\n%s\ngot:\n%s", shards, kind, ref, got)
-			}
+		got := runShardNet(t, 7, shards)
+		if got != ref {
+			t.Fatalf("shards=%d diverged:\nref:\n%s\ngot:\n%s", shards, ref, got)
 		}
 	}
 }
@@ -100,6 +97,6 @@ func TestShardedNetworkByteIdentical(t *testing.T) {
 // workload; correctness is asserted above.
 func TestShardedNetworkRace(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		runShardNet(t, seed, 4, sim.QueueHeap)
+		runShardNet(t, seed, 4)
 	}
 }

@@ -1,151 +1,78 @@
 package sim
 
-import "fmt"
-
-// Item is one scheduler queue entry. Items are plain values: the queue
-// backends store them in slices, never behind per-event pointers, so
-// the steady-state event loop performs no heap allocation. Ref packs
-// the scheduler's (slot, generation) handle and is opaque to queues.
-type Item struct {
-	At  Time
-	Seq uint64
-	Ref uint64
+// item is one event-queue entry. Items are plain values stored in the
+// scheduler's slice-backed heap, never behind per-event pointers, so
+// the steady-state event loop performs no heap allocation. ref packs
+// the scheduler's (slot, generation) handle.
+type item struct {
+	at  Time
+	seq uint64
+	ref uint64
 }
 
 // itemLess orders items by (time, insertion sequence): the same
 // FIFO-within-timestamp total order NS-3's schedulers guarantee. The
-// order is total — Seq is unique — so every Queue backend pops the
-// exact same sequence, which is what makes backends interchangeable
-// under the byte-identical determinism harness.
-func itemLess(a, b Item) bool {
-	if a.At != b.At {
-		return a.At < b.At
+// order is total — seq is unique — so the pop sequence is fixed by the
+// items alone, whatever the heap's internal layout.
+func itemLess(a, b item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return a.Seq < b.Seq
+	return a.seq < b.seq
 }
 
-// Queue is a pluggable priority-queue backend for the Scheduler,
-// mirroring NS-3's scheduler family (ListScheduler, MapScheduler,
-// HeapScheduler, CalendarScheduler). Implementations must pop items in
-// exactly itemLess order and must not retain popped Items.
-//
-// A Queue is single-threaded, like the Scheduler that owns it.
-type Queue interface {
-	// Push inserts an item.
-	Push(Item)
-	// Pop removes and returns the minimum item, in itemLess order.
-	Pop() (Item, bool)
-	// Peek returns the minimum item without removing it.
-	Peek() (Item, bool)
-	// Len reports how many items are queued, including entries whose
-	// events were cancelled but not yet swept.
-	Len() int
-}
+// The event queue is a 4-ary min-heap in Scheduler.q, ordered by
+// itemLess. Compared with a binary container/heap it avoids interface
+// boxing and per-push allocation, halves the tree depth, and keeps a
+// node's children in one cache line. The minimum is s.q[0].
 
-// QueueKind names a built-in Queue backend for configs and flags.
-type QueueKind string
-
-// Built-in queue backends.
-const (
-	// QueueHeap is a slice-backed 4-ary min-heap — the default. A
-	// 4-ary heap halves tree depth versus the binary container/heap
-	// and keeps children in one cache line.
-	QueueHeap QueueKind = "heap"
-	// QueueCalendar is a calendar queue, the analogue of NS-3's
-	// CalendarScheduler: amortized O(1) push/pop when event times are
-	// roughly uniform, at the cost of a day-width heuristic.
-	QueueCalendar QueueKind = "calendar"
-)
-
-// ParseQueueKind converts a CLI/config string into a QueueKind. The
-// empty string selects the default heap backend.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch QueueKind(s) {
-	case "", QueueHeap:
-		return QueueHeap, nil
-	case QueueCalendar:
-		return QueueCalendar, nil
-	}
-	return "", fmt.Errorf("sim: unknown queue kind %q (heap|calendar)", s)
-}
-
-// NewQueue constructs a built-in backend. An empty kind selects the
-// heap.
-func NewQueue(kind QueueKind) Queue {
-	switch kind {
-	case "", QueueHeap:
-		return newHeapQueue()
-	case QueueCalendar:
-		return newCalendarQueue()
-	}
-	panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
-}
-
-// heapQueue is a slice-backed 4-ary min-heap of value items. Compared
-// with container/heap it avoids the interface boxing, the per-push
-// allocation, and half the levels.
-type heapQueue struct {
-	a []Item
-}
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
-
-func (q *heapQueue) Len() int { return len(q.a) }
-
-func (q *heapQueue) Peek() (Item, bool) {
-	if len(q.a) == 0 {
-		return Item{}, false
-	}
-	return q.a[0], true
-}
-
-func (q *heapQueue) Push(it Item) {
-	q.a = append(q.a, it) //simlint:allow allocfree(heap slab doubling is amortized O(1) per event; a warmed queue pushes into spare capacity)
-	i := len(q.a) - 1
+// push inserts it into the heap.
+func (s *Scheduler) push(it item) {
+	s.q = append(s.q, it) //simlint:allow allocfree(heap slab doubling is amortized O(1) per event; a warmed queue pushes into spare capacity)
+	i := len(s.q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !itemLess(it, q.a[p]) {
+		if !itemLess(it, s.q[p]) {
 			break
 		}
-		q.a[i] = q.a[p]
+		s.q[i] = s.q[p]
 		i = p
 	}
-	q.a[i] = it
+	s.q[i] = it
 }
 
-func (q *heapQueue) Pop() (Item, bool) {
-	n := len(q.a)
-	if n == 0 {
-		return Item{}, false
-	}
-	top := q.a[0]
-	last := q.a[n-1]
-	q.a = q.a[:n-1]
-	n--
+// pop removes the minimum item s.q[0]; the queue must be non-empty.
+func (s *Scheduler) pop() {
+	n := len(s.q) - 1
+	last := s.q[n]
+	s.q = s.q[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			best := c
-			hi := c + 4
-			if hi > n {
-				hi = n
-			}
-			for j := c + 1; j < hi; j++ {
-				if itemLess(q.a[j], q.a[best]) {
-					best = j
-				}
-			}
-			if !itemLess(q.a[best], last) {
-				break
-			}
-			q.a[i] = q.a[best]
-			i = best
-		}
-		q.a[i] = last
+		s.siftDown(0, last)
 	}
-	return top, true
+}
+
+// siftDown stores x at index i, moving it down past any smaller child
+// until the heap property holds below i.
+func (s *Scheduler) siftDown(i int, x item) {
+	q := s.q
+	n := len(q)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		best := c
+		hi := min(c+4, n)
+		for j := c + 1; j < hi; j++ {
+			if itemLess(q[j], q[best]) {
+				best = j
+			}
+		}
+		if !itemLess(q[best], x) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = x
 }

@@ -2,128 +2,73 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
-var queueKinds = []QueueKind{QueueHeap, QueueCalendar}
-
-func TestParseQueueKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"", QueueHeap, true},
-		{"heap", QueueHeap, true},
-		{"calendar", QueueCalendar, true},
-		{"list", "", false},
-		{"HEAP", "", false},
-	} {
-		got, err := ParseQueueKind(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("ParseQueueKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("ParseQueueKind(%q) accepted", tc.in)
-		}
-	}
-}
-
-// TestQueueBackendsPopIdenticalOrder: any interleaving of pushes and
-// pops yields the exact same item sequence from every backend — the
-// property that makes backends swappable without changing a run.
-func TestQueueBackendsPopIdenticalOrder(t *testing.T) {
-	f := func(ops []uint32) bool {
-		qs := make([]Queue, len(queueKinds))
-		for i, k := range queueKinds {
-			qs[i] = NewQueue(k)
-		}
-		seq := uint64(0)
-		lastAt := Time(0)
-		var popped [][]Item
-		popped = make([][]Item, len(qs))
-		for _, op := range ops {
-			if op%4 == 0 && qs[0].Len() > 0 {
-				for i, q := range qs {
-					it, ok := q.Pop()
-					if !ok {
+// TestHeapPopOrderMatchesSortOracle: for any interleaving of
+// schedules, cancels and single-event runs, the scheduler's heap pops
+// exactly what a stable sort of the live items by itemLess would pop.
+// The op mix alternates between a growth phase and a cancel-heavy
+// shrink phase, so both the lazy discard of stale entries at the top
+// and the in-place compaction sweep run.
+func TestHeapPopOrderMatchesSortOracle(t *testing.T) {
+	compactions := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(1)
+		var live []item // oracle: every scheduled, uncancelled, unrun item
+		var ran []uint64
+		for op := 0; op < 1500; op++ {
+			schedP, cancelP := 12, 18 // of 20: 60% schedule, 30% cancel
+			if op/300%2 == 1 {
+				schedP, cancelP = 2, 16 // 10% schedule, 70% cancel
+			}
+			switch r := rng.Intn(20); {
+			case r < schedP: // schedule; times never precede now (the clamp rule)
+				at := s.Now() + Time(rng.Intn(977))
+				var id EventID
+				id = s.ScheduleAt(at, func() {
+					ran = append(ran, uint64(id))
+					s.Stop() // one event per RunAll
+				})
+				live = append(live, item{at: at, seq: s.seq, ref: uint64(id)})
+			case r < cancelP && len(live) > 0: // cancel a random live event
+				k := rng.Intn(len(live))
+				before := s.QueueLen()
+				if !s.Cancel(EventID(live[k].ref)) {
+					return false
+				}
+				live = append(live[:k], live[k+1:]...)
+				if s.QueueLen() < before {
+					compactions++
+				}
+			default: // run exactly one live event
+				sort.SliceStable(live, func(i, j int) bool { return itemLess(live[i], live[j]) })
+				err := s.RunAll()
+				if len(live) == 0 {
+					if err != nil || len(ran) != 0 {
 						return false
 					}
-					popped[i] = append(popped[i], it)
-					lastAt = it.At
+					continue
 				}
-				continue
-			}
-			seq++
-			// Times never precede the latest pop, mirroring the
-			// scheduler's clamp-to-now rule.
-			it := Item{At: lastAt + Time(op%977), Seq: seq, Ref: uint64(op)}
-			for _, q := range qs {
-				q.Push(it)
-			}
-		}
-		for qs[0].Len() > 0 {
-			for i, q := range qs {
-				it, ok := q.Pop()
-				if !ok {
+				if (err != nil && err != ErrStopped) || len(ran) != 1 || ran[0] != live[0].ref || s.Now() != live[0].at {
 					return false
 				}
-				popped[i] = append(popped[i], it)
+				ran, live = ran[:0], live[1:]
 			}
-		}
-		for i := 1; i < len(popped); i++ {
-			if len(popped[i]) != len(popped[0]) {
-				return false
-			}
-			for j := range popped[0] {
-				if popped[i][j] != popped[0][j] {
-					return false
-				}
-			}
-		}
-		// And the shared sequence must be itemLess-sorted.
-		for j := 1; j < len(popped[0]); j++ {
-			if itemLess(popped[0][j], popped[0][j-1]) {
+			if s.Pending() != len(live) || s.QueueLen() != len(live)+s.stale {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestCalendarFarFutureAndTies exercises the calendar queue's two slow
-// paths: a year-scan miss (every event more than a year of buckets
-// away) and many ties sharing one bucket.
-func TestCalendarFarFutureAndTies(t *testing.T) {
-	q := NewQueue(QueueCalendar)
-	q.Push(Item{At: 1 << 40, Seq: 1})
-	q.Push(Item{At: 1 << 50, Seq: 2})
-	if it, _ := q.Peek(); it.Seq != 1 {
-		t.Fatalf("far-future Peek = %+v, want Seq 1", it)
-	}
-	for s := uint64(3); s < 40; s++ {
-		q.Push(Item{At: 1 << 40, Seq: s})
-	}
-	wantSeqs := append([]uint64{1}, func() []uint64 {
-		var v []uint64
-		for s := uint64(3); s < 40; s++ {
-			v = append(v, s)
-		}
-		return v
-	}()...)
-	wantSeqs = append(wantSeqs, 2)
-	for i, want := range wantSeqs {
-		it, ok := q.Pop()
-		if !ok || it.Seq != want {
-			t.Fatalf("pop %d = %+v, ok=%v, want Seq %d", i, it, ok, want)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop from empty calendar succeeded")
+	if compactions == 0 {
+		t.Fatal("workload never triggered a compaction sweep")
 	}
 }
 
@@ -181,32 +126,30 @@ func TestQueueLenPendingInvariant(t *testing.T) {
 }
 
 // TestCompactionPreservesOrder: a sweep in the middle of a workload
-// must not reorder survivors, on either backend.
+// must not reorder survivors.
 func TestCompactionPreservesOrder(t *testing.T) {
-	for _, kind := range queueKinds {
-		s := NewSchedulerQueue(9, kind)
-		const n = 300
-		var order []int
-		ids := make([]EventID, n)
-		for i := 0; i < n; i++ {
-			i := i
-			ids[i] = s.Schedule(Time(n-i)*Millisecond, func() { order = append(order, i) })
-		}
-		for i := 0; i < n; i += 2 { // cancel every even id → sweep triggers
-			s.Cancel(ids[i])
-		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("[%s] RunAll: %v", kind, err)
-		}
-		if len(order) != n/2 {
-			t.Fatalf("[%s] ran %d, want %d", kind, len(order), n/2)
-		}
-		// Delay was (n-i) ms, so survivors (odd i) must run in
-		// descending-i order.
-		for j := 1; j < len(order); j++ {
-			if order[j] >= order[j-1] {
-				t.Fatalf("[%s] order[%d..] = %d,%d not descending", kind, j-1, order[j-1], order[j])
-			}
+	s := NewScheduler(9)
+	const n = 300
+	var order []int
+	ids := make([]EventID, n)
+	for i := 0; i < n; i++ {
+		i := i
+		ids[i] = s.Schedule(Time(n-i)*Millisecond, func() { order = append(order, i) })
+	}
+	for i := 0; i < n; i += 2 { // cancel every even id → sweep triggers
+		s.Cancel(ids[i])
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if len(order) != n/2 {
+		t.Fatalf("ran %d, want %d", len(order), n/2)
+	}
+	// Delay was (n-i) ms, so survivors (odd i) must run in
+	// descending-i order.
+	for j := 1; j < len(order); j++ {
+		if order[j] >= order[j-1] {
+			t.Fatalf("order[%d..] = %d,%d not descending", j-1, order[j-1], order[j])
 		}
 	}
 }
@@ -266,83 +209,37 @@ func TestCancelFiredAndReusedIDs(t *testing.T) {
 }
 
 // TestPropertyFIFOWithinTimestamp: events sharing a timestamp run in
-// schedule order, on every backend.
+// schedule order.
 func TestPropertyFIFOWithinTimestamp(t *testing.T) {
-	for _, kind := range queueKinds {
-		kind := kind
-		f := func(slots []uint8) bool {
-			s := NewSchedulerQueue(3, kind)
-			var got []int
-			for i, slot := range slots {
-				i := i
-				// Few distinct timestamps → many ties.
-				s.Schedule(Time(slot%5)*Second, func() { got = append(got, i) })
-			}
-			if err := s.RunAll(); err != nil {
+	f := func(slots []uint8) bool {
+		s := NewScheduler(3)
+		var got []int
+		for i, slot := range slots {
+			i := i
+			// Few distinct timestamps → many ties.
+			s.Schedule(Time(slot%5)*Second, func() { got = append(got, i) })
+		}
+		if err := s.RunAll(); err != nil {
+			return false
+		}
+		if len(got) != len(slots) {
+			return false
+		}
+		// Expected order: stable sort by timestamp = for equal
+		// timestamps, ascending schedule index.
+		seen := make(map[uint8][]int)
+		for _, i := range got {
+			b := slots[i] % 5
+			ns := seen[b]
+			if len(ns) > 0 && ns[len(ns)-1] > i {
 				return false
 			}
-			if len(got) != len(slots) {
-				return false
-			}
-			// Expected order: stable sort by timestamp = for equal
-			// timestamps, ascending schedule index.
-			seen := make(map[uint8][]int)
-			for _, i := range got {
-				b := slots[i] % 5
-				ns := seen[b]
-				if len(ns) > 0 && ns[len(ns)-1] > i {
-					return false
-				}
-				seen[b] = append(ns, i)
-			}
-			return true
+			seen[b] = append(ns, i)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Fatalf("[%s] %v", kind, err)
-		}
+		return true
 	}
-}
-
-// TestBackendsIdenticalRuns drives a randomized schedule/cancel/nested
-// workload on both backends and requires identical execution traces —
-// the in-package version of the cross-backend artifact test in
-// internal/core.
-func TestBackendsIdenticalRuns(t *testing.T) {
-	run := func(kind QueueKind) []Time {
-		s := NewSchedulerQueue(11, kind)
-		var trace []Time
-		var ids []EventID
-		var step func()
-		n := 0
-		step = func() {
-			trace = append(trace, s.Now())
-			n++
-			if n > 2000 {
-				return
-			}
-			r := s.RNG()
-			for i := 0; i < 1+r.Intn(3); i++ {
-				ids = append(ids, s.Schedule(Time(r.Intn(5000))*Microsecond, step))
-			}
-			if len(ids) > 0 && r.Intn(3) == 0 {
-				s.Cancel(ids[r.Intn(len(ids))])
-			}
-		}
-		s.Schedule(0, step)
-		if err := s.Run(3 * Second); err != nil {
-			t.Fatalf("[%s] Run: %v", kind, err)
-		}
-		return trace
-	}
-	heap := run(QueueHeap)
-	cal := run(QueueCalendar)
-	if len(heap) != len(cal) {
-		t.Fatalf("trace lengths differ: heap %d, calendar %d", len(heap), len(cal))
-	}
-	for i := range heap {
-		if heap[i] != cal[i] {
-			t.Fatalf("traces diverge at event %d: heap %v, calendar %v", i, heap[i], cal[i])
-		}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -352,52 +249,40 @@ func TestBackendsIdenticalRuns(t *testing.T) {
 func nop() {}
 
 func BenchmarkSchedule(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-			}
-		})
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
 	}
 }
 
 func BenchmarkScheduleCancel(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-				s.Cancel(id)
-			}
-		})
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		s.Cancel(id)
 	}
 }
 
 func BenchmarkRunDrain(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-				if i%1024 == 1023 {
-					if err := s.RunAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		if i%1024 == 1023 {
 			if err := s.RunAll(); err != nil {
 				b.Fatal(err)
 			}
-		})
+		}
+	}
+	if err := s.RunAll(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -51,17 +51,15 @@ const compactMin = 64
 // randomness flows through the seeded RNG it owns.
 //
 // The steady-state hot path is allocation-free: events are value
-// entries in a slice-backed queue, callbacks live in a recycled slot
-// table, and cancellation is a generation-stamp bump — no per-event
-// heap object, no live-event map.
+// entries in a slice-backed 4-ary heap, callbacks live in a recycled
+// slot table, and cancellation is a generation-stamp bump — no
+// per-event heap object, no live-event map.
 //
-// The zero value is not usable; construct with NewScheduler,
-// NewSchedulerQueue, or NewSchedulerWith.
+// The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
-	q       Queue
-	slots   []slot
-	free    []uint32
-	scratch []Item // reused by compact
+	q     []item // 4-ary min-heap by itemLess (queue.go)
+	slots []slot
+	free  []uint32
 
 	now       Time
 	seq       uint64
@@ -84,32 +82,10 @@ type Scheduler struct {
 	worker bool
 }
 
-// NewScheduler returns a scheduler on the default heap backend whose
-// random source is seeded with seed. Two schedulers built with the
-// same seed drive identical runs.
+// NewScheduler returns a scheduler whose random source is seeded with
+// seed. Two schedulers built with the same seed drive identical runs.
 func NewScheduler(seed int64) *Scheduler {
-	return NewSchedulerQueue(seed, QueueHeap)
-}
-
-// NewSchedulerQueue is NewScheduler with an explicit queue backend.
-// An empty kind selects the heap. Backends are observationally
-// identical: the same seed yields the same run byte-for-byte on any
-// of them.
-func NewSchedulerQueue(seed int64, kind QueueKind) *Scheduler {
-	return NewSchedulerWith(seed, NewQueue(kind))
-}
-
-// NewSchedulerWith builds a scheduler around a caller-supplied Queue
-// implementation — the extension point for experimenting with new
-// backends without touching the kernel.
-func NewSchedulerWith(seed int64, q Queue) *Scheduler {
-	if q == nil {
-		panic("sim: NewSchedulerWith with nil queue")
-	}
-	return &Scheduler{
-		q:   q,
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now reports the current simulated time.
@@ -156,13 +132,13 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // Pending reports how many events are queued and not cancelled.
 func (s *Scheduler) Pending() int { return s.pending }
 
-// QueueLen reports the number of entries physically inside the queue
-// backend, which may exceed Pending by the number of cancelled entries
+// QueueLen reports the number of entries physically inside the event
+// queue, which may exceed Pending by the number of cancelled entries
 // not yet swept. The invariant QueueLen() == Pending()+stale is
 // bounded: a compaction sweep runs whenever stale entries outnumber
 // live ones (and exceed a small floor), so QueueLen never drifts past
 // roughly twice Pending.
-func (s *Scheduler) QueueLen() int { return s.q.Len() }
+func (s *Scheduler) QueueLen() int { return len(s.q) }
 
 // SetHook installs an observer invoked once per executed event with
 // the event's time, its source label, and the queue depth after the
@@ -223,7 +199,7 @@ func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
 	sl.lp = s.curLP // events run as the LP that scheduled them
 	s.pending++
 	ref := packRef(idx, sl.gen)
-	s.q.Push(Item{At: at, Seq: s.seq, Ref: ref})
+	s.push(item{at: at, seq: s.seq, ref: ref})
 	return EventID(ref)
 }
 
@@ -249,7 +225,7 @@ func (s *Scheduler) scheduleMsg(at Time, dst *LP, h MsgHandler, a, b any) {
 	sl.fn, sl.src, sl.live = nil, "sim.msg", true
 	sl.lp, sl.h, sl.a, sl.b = dst, h, a, b
 	s.pending++
-	s.q.Push(Item{At: at, Seq: s.seq, Ref: packRef(idx, sl.gen)})
+	s.push(item{at: at, seq: s.seq, ref: packRef(idx, sl.gen)})
 }
 
 // NextEventTime reports the timestamp of the earliest live pending
@@ -257,12 +233,11 @@ func (s *Scheduler) scheduleMsg(at Time, dst *LP, h MsgHandler, a, b any) {
 // coordinator uses it between epochs to skip empty stretches of the
 // epoch grid.
 func (s *Scheduler) NextEventTime() (Time, bool) {
-	for s.q.Len() > 0 {
-		it, _ := s.q.Peek()
-		if s.refLive(it.Ref) {
-			return it.At, true
+	for len(s.q) > 0 {
+		if it := s.q[0]; s.refLive(it.ref) {
+			return it.at, true
 		}
-		s.q.Pop()
+		s.pop()
 		s.stale--
 	}
 	return 0, false
@@ -313,23 +288,22 @@ func (s *Scheduler) refLive(ref uint64) bool {
 	return sl.live && sl.gen == gen
 }
 
-// compact sweeps cancelled entries out of the queue: everything is
-// drained (in order) into a scratch slice, live entries are re-pushed
-// with their original sequence numbers, so relative order — and
-// therefore the run — is unchanged.
+// compact sweeps cancelled entries out of the queue in O(n): live
+// entries are filtered in place, keeping their original sequence
+// numbers, and the heap is rebuilt bottom-up. itemLess is a total
+// order, so the pop sequence — and therefore the run — is unchanged
+// by the new layout.
 func (s *Scheduler) compact() {
-	s.scratch = s.scratch[:0]
-	for {
-		it, ok := s.q.Pop()
-		if !ok {
-			break
-		}
-		if s.refLive(it.Ref) {
-			s.scratch = append(s.scratch, it) //simlint:allow allocfree(compact is the rare cancellation sweep; scratch is reused across sweeps and grows at most to the live queue length)
+	n := 0
+	for _, it := range s.q {
+		if s.refLive(it.ref) {
+			s.q[n] = it
+			n++
 		}
 	}
-	for _, it := range s.scratch {
-		s.q.Push(it)
+	s.q = s.q[:n]
+	for i := (n - 2) >> 2; i >= 0; i-- {
+		s.siftDown(i, s.q[i])
 	}
 	s.stale = 0
 }
@@ -362,38 +336,38 @@ func (s *Scheduler) run(until Time) error {
 	s.stopped = false
 	//simlint:allow allocfree(the deferred reset closure is built once per Run invocation, not per event)
 	defer func() { s.curLP = nil }() // no attribution leaks out of the loop
-	for s.q.Len() > 0 {
+	for len(s.q) > 0 {
 		if s.stopped {
 			return ErrStopped
 		}
-		it, _ := s.q.Peek()
-		idx, gen := unpackRef(it.Ref)
+		it := s.q[0]
+		idx, gen := unpackRef(it.ref)
 		sl := &s.slots[idx]
 		if !sl.live || sl.gen != gen {
 			// Cancelled entry surfacing at the top: discard lazily,
 			// regardless of horizon.
-			s.q.Pop()
+			s.pop()
 			s.stale--
 			continue
 		}
-		if it.At > until {
+		if it.at > until {
 			break
 		}
-		s.q.Pop()
+		s.pop()
 		fn, src := sl.fn, sl.src
 		lp, h, a, b := sl.lp, sl.h, sl.a, sl.b
 		s.releaseSlot(idx, sl)
 		s.pending--
-		s.now = it.At
+		s.now = it.at
 		s.processed++
 		if s.hook != nil {
-			s.hook(it.At, src, s.pending)
+			s.hook(it.at, src, s.pending)
 		}
 		s.curLP = lp
 		if fn != nil {
 			fn()
 		} else {
-			h.HandleMsg(it.At, a, b)
+			h.HandleMsg(it.at, a, b)
 		}
 	}
 	return nil

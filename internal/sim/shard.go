@@ -12,7 +12,7 @@ import (
 // runtime in the tradition of Chandy-Misra-Bryant null-message-free
 // BSP variants. The topology is partitioned into logical processes
 // (LPs); each shard owns a set of LPs, a private Scheduler (with its
-// own Queue backend), and one worker goroutine. Shards advance in
+// own event queue), and one worker goroutine. Shards advance in
 // global epochs of width L — the lookahead, the minimum cross-LP
 // link latency — and exchange timestamped messages through
 // per-(src,dst) mailbox lanes that are drained at epoch barriers in a
@@ -195,12 +195,11 @@ type ShardSet struct {
 	started bool
 }
 
-// NewShardSet builds a sharded runtime with n shards (n >= 1) whose
-// schedulers use the given queue backend. lookahead is the epoch
-// width: the minimum latency of any cross-LP interaction. Every
-// cross-LP send must carry a delivery time at least lookahead past
-// the send time; Send enforces this at runtime.
-func NewShardSet(seed int64, n int, lookahead Time, kind QueueKind) *ShardSet {
+// NewShardSet builds a sharded runtime with n shards (n >= 1).
+// lookahead is the epoch width: the minimum latency of any cross-LP
+// interaction. Every cross-LP send must carry a delivery time at least
+// lookahead past the send time; Send enforces this at runtime.
+func NewShardSet(seed int64, n int, lookahead Time) *ShardSet {
 	if n < 1 {
 		panic("sim: NewShardSet with n < 1")
 	}
@@ -213,7 +212,7 @@ func NewShardSet(seed int64, n int, lookahead Time, kind QueueKind) *ShardSet {
 		sh := &Shard{
 			id:    i,
 			set:   set,
-			sched: NewSchedulerQueue(splitSeed(seed, uint64(i)^0x5348415244), kind),
+			sched: NewScheduler(splitSeed(seed, uint64(i)^0x5348415244)),
 			out:   make([][]Msg, n+1),
 			cmd:   make(chan shardCmd),
 			done:  make(chan error),
@@ -229,7 +228,7 @@ func NewShardSet(seed int64, n int, lookahead Time, kind QueueKind) *ShardSet {
 		// Fixed stream id: the ctl scheduler's base RNG must not vary
 		// with the worker shard count or fallback draws (no current LP)
 		// would break shard-count invariance.
-		sched: NewSchedulerQueue(splitSeed(seed, 0x63746C00), kind),
+		sched: NewScheduler(splitSeed(seed, 0x63746C00)),
 		out:   make([][]Msg, n+1),
 	}
 	set.all = append(append([]*Shard{}, set.shards...), set.ctl)

@@ -9,7 +9,7 @@ import (
 
 // The sharded kernel's contract is that shard count is unobservable:
 // the same seed must produce byte-identical behaviour at 1, 2, 4, and
-// 8 shards, on either queue backend. These tests drive a synthetic
+// 8 shards. These tests drive a synthetic
 // multi-LP workload — token rings crossing LP boundaries, local
 // timers drawing per-LP randomness, and barrier tasks sampling global
 // state — and compare merged logs across the full matrix.
@@ -64,11 +64,11 @@ func (tk *token) HandleMsg(at Time, a, b any) {
 	self.Send(next, at+w.set.Lookahead()+jitter, tk, next, nil)
 }
 
-func runShardWorld(t *testing.T, seed int64, shards int, kind QueueKind) (string, uint64) {
+func runShardWorld(t *testing.T, seed int64, shards int) (string, uint64) {
 	t.Helper()
 	const L = 2 * Millisecond
 	const nLP = 7
-	set := NewShardSet(seed, shards, L, kind)
+	set := NewShardSet(seed, shards, L)
 	w := &testWorld{set: set}
 	for i := 0; i < nLP; i++ {
 		w.lps = append(w.lps, set.NewLP(i%shards))
@@ -161,27 +161,25 @@ func runShardWorld(t *testing.T, seed int64, shards int, kind QueueKind) (string
 }
 
 func TestShardCountUnobservable(t *testing.T) {
-	refLog, refProcessed := runShardWorld(t, 42, 1, QueueHeap)
+	refLog, refProcessed := runShardWorld(t, 42, 1)
 	if !strings.Contains(refLog, "token") || !strings.Contains(refLog, "tick") ||
 		!strings.Contains(refLog, "ctl ") || !strings.Contains(refLog, "report ") {
 		t.Fatalf("reference log is missing workload entries:\n%s", refLog)
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-			log, processed := runShardWorld(t, 42, shards, kind)
-			if log != refLog {
-				t.Fatalf("shards=%d queue=%s diverged from shards=1 heap:\nref:\n%s\ngot:\n%s", shards, kind, refLog, log)
-			}
-			if processed != refProcessed {
-				t.Fatalf("shards=%d queue=%s processed %d events, want %d", shards, kind, processed, refProcessed)
-			}
+		log, processed := runShardWorld(t, 42, shards)
+		if log != refLog {
+			t.Fatalf("shards=%d diverged from shards=1:\nref:\n%s\ngot:\n%s", shards, refLog, log)
+		}
+		if processed != refProcessed {
+			t.Fatalf("shards=%d processed %d events, want %d", shards, processed, refProcessed)
 		}
 	}
 }
 
 func TestShardDifferentSeedsDiverge(t *testing.T) {
-	a, _ := runShardWorld(t, 1, 4, QueueHeap)
-	b, _ := runShardWorld(t, 2, 4, QueueHeap)
+	a, _ := runShardWorld(t, 1, 4)
+	b, _ := runShardWorld(t, 2, 4)
 	if a == b {
 		t.Fatal("different seeds produced identical logs")
 	}
@@ -191,12 +189,12 @@ func TestShardDifferentSeedsDiverge(t *testing.T) {
 // correctness is covered above.
 func TestShardRace(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		runShardWorld(t, seed, 4, QueueHeap)
+		runShardWorld(t, seed, 4)
 	}
 }
 
 func TestShardLookaheadViolationPanics(t *testing.T) {
-	set := NewShardSet(1, 2, 2*Millisecond, QueueHeap)
+	set := NewShardSet(1, 2, 2*Millisecond)
 	a, b := set.NewLP(0), set.NewLP(1)
 	set.WithLP(a, func() {
 		a.shard.sched.Schedule(Millisecond, func() {
@@ -213,7 +211,7 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestBarrierTaskGridValidation(t *testing.T) {
-	set := NewShardSet(1, 1, 2*Millisecond, QueueHeap)
+	set := NewShardSet(1, 1, 2*Millisecond)
 	defer func() {
 		if recover() == nil {
 			t.Error("off-grid task period did not panic")
