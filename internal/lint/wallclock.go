@@ -22,12 +22,11 @@ type Wallclock struct {
 }
 
 // NewWallclock returns the analyzer with the repo's allowlist: the
-// obs profiler (which measures wall cost per simulated second through
-// an injectable clock) and the benchmark driver.
+// obs profiler, which measures wall cost per simulated second through
+// an injectable clock.
 func NewWallclock() *Wallclock {
 	return &Wallclock{AllowPkgs: map[string]bool{
-		"ddosim/internal/obs":  true,
-		"ddosim/cmd/benchjson": true,
+		"ddosim/internal/obs": true,
 	}}
 }
 

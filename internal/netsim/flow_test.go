@@ -282,54 +282,3 @@ func TestUDPFloodPathZeroAllocWithFlows(t *testing.T) {
 		t.Fatalf("flood path allocates %.2f/op with flows enabled, want 0", avg)
 	}
 }
-
-// BenchmarkUDPFloodPathFlows is BenchmarkUDPFloodPath with flow
-// accounting enabled — the before/after pair cmd/benchjson captures.
-func BenchmarkUDPFloodPathFlows(b *testing.B) {
-	sched, w, star := newStar(b, 1)
-	buf := &obs.FlowBuffer{}
-	w.EnableFlows(FlowConfig{Sink: buf})
-	src := star.AttachHost("src", 100*Mbps, sim.Millisecond, 0)
-	dst := star.AttachHost("dst", 100*Mbps, sim.Millisecond, 0)
-	if _, err := dst.BindUDP(80, nil); err != nil {
-		b.Fatal(err)
-	}
-	sock, err := src.BindUDP(0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := netip.AddrPortFrom(dst.Addr4(), 80)
-
-	sent := 0
-	var pump func()
-	pump = func() {
-		if sent >= b.N {
-			return
-		}
-		sent++
-		sock.SendPadded(target, nil, 512)
-		sched.Schedule(100*sim.Microsecond, pump)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sched.Schedule(0, pump)
-	// Run (not RunAll): the flow sweeper re-arms forever, so drain up
-	// to a horizon past the last send instead of exhausting the queue.
-	horizon := sim.Time(int64(b.N+1)) * 100 * sim.Microsecond
-	if err := sched.Run(horizon); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if sock.TxDatagrams != uint64(b.N) {
-		b.Fatalf("sent %d datagrams, want %d", sock.TxDatagrams, b.N)
-	}
-	w.Flows().Stop()
-	w.Flows().FlushAll(sched.Now())
-	var pkts uint64
-	for _, r := range buf.Records() {
-		pkts += r.Packets
-	}
-	if pkts != uint64(b.N) {
-		b.Fatalf("flow records account %d packets, want %d", pkts, b.N)
-	}
-}
