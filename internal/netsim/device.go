@@ -165,7 +165,7 @@ func (d *NetDevice) Send(pkt *Packet) {
 	}
 	if d.queue.len() >= d.queueLimit {
 		d.stats.QueueDrops++
-		d.node.countDrop("drop-tail")
+		d.node.countDrop(dropTail)
 		d.node.putPacket(pkt)
 		return
 	}
@@ -264,7 +264,7 @@ func (d *NetDevice) receive(pkt *Packet) {
 	}
 	if d.lossRate > 0 && d.sched.RNG().Float64() < d.lossRate {
 		d.stats.LossDrops++
-		d.node.countDrop("loss")
+		d.node.countDrop(dropLoss)
 		d.node.putPacket(pkt)
 		return
 	}

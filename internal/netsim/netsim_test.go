@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ddosim/internal/obs"
 	"ddosim/internal/sim"
 )
 
@@ -256,6 +257,55 @@ func TestQueueDropTail(t *testing.T) {
 }
 
 func time100s() sim.Time { return 100 * sim.Second }
+
+// TestQueueDropTracedZeroAlloc pins the traced drop path: with
+// observability attached, a drop-tail drop records its trace event
+// through the node's interned kind and allocates nothing (the event
+// log's chunk allocation comes once per 4096 events, and this run
+// stays inside its first chunk). CI asserts on this test by name.
+func TestQueueDropTracedZeroAlloc(t *testing.T) {
+	if SanitizerEnabled() {
+		t.Skip("simdebug sanitizer records call sites and allocates")
+	}
+	sched, w, star := newStar(t, 1)
+	o := obs.New()
+	w.Observe(o)
+	a := star.AttachHost("a", 8*Kbps, sim.Millisecond, 4)
+	b := star.AttachHost("b", 10*Mbps, sim.Millisecond, 0)
+	sock, err := a.BindUDP(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := netip.AddrPortFrom(b.Addr4(), 9)
+	// Saturate a's four-frame queue. The scheduler never runs below,
+	// so the link stays busy and every further send is dropped there.
+	for i := 0; i < 4; i++ {
+		sock.SendPadded(dst, nil, 1000)
+	}
+	dev := a.DefaultDevice()
+	if dev.Stats().QueueDrops != 0 {
+		t.Fatalf("saturating burst dropped %d frames, want 0", dev.Stats().QueueDrops)
+	}
+	drop := func() { sock.SendPadded(dst, nil, 1000) }
+	// Warm the packet pool, the node's drop kind and the first chunk.
+	for i := 0; i < 16; i++ {
+		drop()
+	}
+	const runs = 1000
+	if avg := testing.AllocsPerRun(runs, drop); avg != 0 {
+		t.Fatalf("traced drop path allocates %.2f per dropped frame, want 0", avg)
+	}
+	drops := dev.Stats().QueueDrops
+	if want := uint64(16 + runs + 1); drops != want { // AllocsPerRun adds one warm-up call
+		t.Fatalf("QueueDrops = %d, want %d", drops, want)
+	}
+	if got := o.Trace.CountEvents(obs.CatNet, "queue-drop"); uint64(got) != drops {
+		t.Fatalf("queue-drop events = %d, QueueDrops = %d", got, drops)
+	}
+	if sched.Now() != 0 {
+		t.Fatalf("scheduler advanced to %v; the link must stay saturated", sched.Now())
+	}
+}
 
 func TestSerializationDelayOrdering(t *testing.T) {
 	sched, _, star := newStar(t, 1)

@@ -47,6 +47,8 @@ type Node struct {
 
 	localDrops  uint64
 	filterDrops uint64
+
+	drops [numDropReasons]dropTrace // interned queue-drop trace kinds
 }
 
 // IngressFilter inspects a packet about to be delivered locally and

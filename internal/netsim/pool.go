@@ -120,8 +120,8 @@ func (n *Node) AllocPacket() *Packet { return n.getPacket() }
 // analyzer statically and the simdebug sanitizer at runtime).
 func (n *Node) ReleasePacket(p *Packet) { n.putPacket(p) }
 
-func (n *Node) getPacket() *Packet        { return n.pool().get() }
-func (n *Node) putPacket(p *Packet)       { n.pool().put(p) }
+func (n *Node) getPacket() *Packet            { return n.pool().get() }
+func (n *Node) putPacket(p *Packet)           { n.pool().put(p) }
 func (n *Node) clonePacket(p *Packet) *Packet { return n.pool().clone(p) }
 
 // AllocPacket is the network-wide allocator, valid only in legacy mode
@@ -143,8 +143,8 @@ func (w *Network) ReleasePacket(p *Packet) {
 	w.putPacket(p)
 }
 
-func (w *Network) getPacket() *Packet        { return w.pp.get() }
-func (w *Network) putPacket(p *Packet)       { w.pp.put(p) }
+func (w *Network) getPacket() *Packet            { return w.pp.get() }
+func (w *Network) putPacket(p *Packet)           { w.pp.put(p) }
 func (w *Network) clonePacket(p *Packet) *Packet { return w.pp.clone(p) }
 
 // pktRing is a growable FIFO of packets backed by a circular buffer —

@@ -66,8 +66,9 @@ func (w *Network) SetNextLP(lp *sim.LP) { w.nextLP = lp }
 // initShardTracers gives each shard context a private trace buffer
 // stamped with (LP index, per-LP emission seq) so the merged stream
 // orders independently of the shard count. Per-shard buffers are
-// uncapped: a count-based drop cap would discard different events at
-// different shard counts.
+// uncapped: a count-based drop cap per buffer would discard different
+// events at different shard counts, so obs.MergeTracers applies the
+// run's main-tracer cap once, to the merged stream.
 func (w *Network) initShardTracers() {
 	for i, c := range w.ctxs {
 		if c.trace != nil {
@@ -171,20 +172,39 @@ func (n *Node) countTx(frameLen int, proto Protocol) {
 	}
 }
 
+// dropReason says why a node dropped a frame.
+type dropReason uint8
+
+const (
+	dropTail dropReason = iota // device queue full
+	dropLoss                   // random receive loss
+	numDropReasons
+)
+
+var dropReasonNames = [numDropReasons]string{dropTail: "drop-tail", dropLoss: "loss"}
+
+// dropTrace is a node's queue-drop event kind for one drop reason,
+// interned on the node's first such drop while tracing. args backs the
+// kind's argument list, so building the kind allocates only the kind.
+type dropTrace struct {
+	kind *obs.EventKind
+	args [2]obs.KV
+}
+
 // countDrop tallies one dropped frame at this node, both in the
 // aggregate stats and — when observability is attached — as a counter
 // increment and a trace point event identifying where the drop
 // happened.
-func (n *Node) countDrop(reason string) {
+func (n *Node) countDrop(r dropReason) {
 	n.statsCell().Drops++
 	n.net.ctrDrops.Inc()
 	if tr := n.tracer(); tr != nil {
-		// Guarded even though Tracer is nil-safe: building the variadic
-		// args slice costs an allocation per drop, which an untraced
-		// flood run should not pay.
-		//simlint:allow allocfree(variadic KV slice is built only when tracing is enabled; the nil-tracer guard keeps untraced runs allocation-free)
-		tr.Event(n.sched.Now(), obs.CatNet, "queue-drop",
-			obs.KV{K: "node", V: n.name}, obs.KV{K: "reason", V: reason})
+		d := &n.drops[r]
+		if d.kind == nil {
+			d.args = [2]obs.KV{{K: "node", V: n.name}, {K: "reason", V: dropReasonNames[r]}}
+			d.kind = obs.NewEventKind(obs.CatNet, "queue-drop", d.args[:]...)
+		}
+		tr.Emit(n.sched.Now(), d.kind)
 	}
 }
 

@@ -99,7 +99,7 @@ func (o *Obs) Summarize() Summary {
 	}
 	if o.Trace != nil {
 		s.TraceSpans = len(o.Trace.spans)
-		s.TraceEvents = len(o.Trace.events)
+		s.TraceEvents = o.Trace.nEvents
 		s.TraceDropped = o.Trace.Dropped()
 	}
 	if o.Prof != nil {

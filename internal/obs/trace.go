@@ -49,24 +49,59 @@ type Span struct {
 	lpSeq uint64
 }
 
-// Event is a point occurrence at one simulated instant.
+// Event is a point occurrence at one simulated instant: the exported
+// view of one record in the event log (see Tracer.Events).
 type Event struct {
 	At   sim.Time
 	Cat  string
 	Name string
 	Args []KV
+}
 
-	seq uint64
+// EventKind is the interned (category, name, args) tuple of a point
+// event. An emitter that records the same tuple many times — a node's
+// queue drops — builds its kind once with NewEventKind and passes it to
+// Tracer.Emit, so each occurrence costs one 40-byte record and no
+// allocation. A kind is immutable: it keeps the args slice it was
+// built from, so the caller must not modify that slice afterwards.
+type EventKind struct {
+	cat, name string
+	args      []KV
+}
+
+// NewEventKind interns one (cat, name, args) tuple.
+func NewEventKind(cat, name string, args ...KV) *EventKind {
+	return &EventKind{cat: cat, name: name, args: args} //simlint:allow allocfree(kinds are interned: the drop path builds one per node and drop reason, on that node's first such drop, never one per event)
+}
+
+// eventRec is one stored point event: 40 bytes, its strings and args
+// shared through the interned kind.
+type eventRec struct {
+	at   sim.Time
+	seq  uint64
+	kind *EventKind
 
 	// Sharded-mode merge stamp (see Span).
 	lp    uint32
 	lpSeq uint64
 }
 
+// The event log is a list of fixed chunks of chunkSize records
+// (160 KiB each). Appending fills the last chunk and adds a fresh one
+// when it is full: records never move, so the log never copies, never
+// makes an allocation larger than one chunk, and never clears a grown
+// slice.
+const (
+	chunkBits = 12
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
 // DefaultMaxEvents caps recorded point events so a pathological run
-// cannot exhaust memory; spans are never dropped (their count is
-// bounded by phases and epochs). The cap is deterministic: the same
-// run drops the same events.
+// cannot exhaust memory (at the cap the event log holds 40 MiB of
+// records); spans are never dropped (their count is bounded by phases
+// and epochs). The cap is deterministic: the same run drops the same
+// events.
 const DefaultMaxEvents = 1 << 20
 
 // Tracer records spans and events for one run. It is not safe for
@@ -75,7 +110,8 @@ const DefaultMaxEvents = 1 << 20
 // an optional tracer without guards.
 type Tracer struct {
 	spans   []Span
-	events  []Event
+	chunks  []*[chunkSize]eventRec // the event log; see chunkSize
+	nEvents int
 	seq     uint64
 	max     int
 	dropped uint64
@@ -83,7 +119,10 @@ type Tracer struct {
 	// stamper supplies the (LP, per-LP emission sequence) merge stamp
 	// for sharded runs; nil in the legacy kernel. The stamp is a
 	// partition-independent total order within one LP, so per-shard
-	// tracers merge deterministically (see MergeTracers).
+	// tracers merge deterministically (see MergeTracers). A stamped
+	// tracer records past its cap: MergeTracers applies the cap once,
+	// to the merged stream, so which events survive does not depend on
+	// how the LPs were spread over shards.
 	stamper func() (lp uint32, seq uint64)
 }
 
@@ -102,7 +141,8 @@ func (t *Tracer) SetMaxEvents(n int) {
 
 // SetStamper installs the sharded-mode emission stamper. Every
 // subsequent span or event records the stamp the hook returns at
-// emission time; MergeTracers orders entries by (time, stamp).
+// emission time; MergeTracers orders entries by (time, stamp). From
+// then on the event cap is deferred to MergeTracers.
 func (t *Tracer) SetStamper(fn func() (lp uint32, seq uint64)) {
 	if t == nil {
 		return
@@ -117,18 +157,43 @@ func (t *Tracer) stamp() (uint32, uint64) {
 	return t.stamper()
 }
 
-// Event records a point event at simulated instant at.
+// Event records a point event at simulated instant at. It interns a
+// fresh kind per call; an emitter on a hot path builds its kinds once
+// and calls Emit.
 func (t *Tracer) Event(at sim.Time, cat, name string, args ...KV) {
 	if t == nil {
 		return
 	}
-	if t.max > 0 && len(t.events) >= t.max {
+	t.Emit(at, NewEventKind(cat, name, args...))
+}
+
+// Emit records a point event of an interned kind at simulated instant
+// at. It allocates only when the event log starts a new chunk.
+func (t *Tracer) Emit(at sim.Time, kind *EventKind) {
+	if t == nil {
+		return
+	}
+	if t.max > 0 && t.stamper == nil && t.nEvents >= t.max {
 		t.dropped++
 		return
 	}
 	t.seq++
 	lp, lpSeq := t.stamp()
-	t.events = append(t.events, Event{At: at, Cat: cat, Name: name, Args: args, seq: t.seq, lp: lp, lpSeq: lpSeq}) //simlint:allow allocfree(trace buffer growth happens only when tracing is armed; untraced runs return at the nil-receiver guard above)
+	t.push(eventRec{at: at, seq: t.seq, kind: kind, lp: lp, lpSeq: lpSeq})
+}
+
+// push appends r to the event log.
+func (t *Tracer) push(r eventRec) {
+	if t.nEvents == len(t.chunks)*chunkSize {
+		t.chunks = append(t.chunks, new([chunkSize]eventRec)) //simlint:allow allocfree(one 160 KiB chunk per 4096 traced events, only when tracing is armed; untraced runs return at the nil-receiver guard)
+	}
+	t.chunks[t.nEvents>>chunkBits][t.nEvents&chunkMask] = r
+	t.nEvents++
+}
+
+// rec returns the i-th record of the event log.
+func (t *Tracer) rec(i int) *eventRec {
+	return &t.chunks[i>>chunkBits][i&chunkMask]
 }
 
 // BeginSpan opens a span at simulated instant at and returns its id.
@@ -212,8 +277,11 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := make([]Event, t.nEvents)
+	for i := range out {
+		r := t.rec(i)
+		out[i] = Event{At: r.at, Cat: r.kind.cat, Name: r.kind.name, Args: r.kind.args}
+	}
 	return out
 }
 
@@ -232,8 +300,9 @@ func (t *Tracer) CountEvents(cat, name string) int {
 		return 0
 	}
 	n := 0
-	for _, e := range t.events {
-		if (cat == "" || e.Cat == cat) && (name == "" || e.Name == name) {
+	for i := 0; i < t.nEvents; i++ {
+		k := t.rec(i).kind
+		if (cat == "" || k.cat == cat) && (name == "" || k.name == name) {
 			n++
 		}
 	}
@@ -246,19 +315,34 @@ func (t *Tracer) CountEvents(cat, name string) int {
 // messages. Spans order by their start time. The inputs must have been
 // stamped (SetStamper); within one LP the emission sequence is a total
 // order, so the merged stream is a pure function of the run,
-// independent of the shard count. The merged tracer carries fresh
-// interleave sequence numbers and span IDs; input tracers are left
-// untouched and the sum of their drop counts is preserved.
+// independent of the shard count. The smallest event cap among the
+// inputs (SetMaxEvents; 0 is none) applies once, to the merged stream:
+// the first cap events in merged order are kept and the rest count as
+// dropped, on top of the inputs' own drop counts. The merged tracer
+// carries fresh interleave sequence numbers and span IDs; input
+// tracers are left untouched.
 func MergeTracers(parts ...*Tracer) *Tracer {
-	m := NewTracer()
-	m.max = 0 // inputs already enforced their caps
+	m := &Tracer{}
+	total := 0
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
+		if p.max > 0 && (m.max == 0 || p.max < m.max) {
+			m.max = p.max
+		}
 		m.spans = append(m.spans, p.spans...)
-		m.events = append(m.events, p.events...)
 		m.dropped += p.dropped
+		total += p.nEvents
+	}
+	recs := make([]eventRec, 0, total)
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for i := 0; i < p.nEvents; i++ {
+			recs = append(recs, *p.rec(i))
+		}
 	}
 	sort.SliceStable(m.spans, func(i, j int) bool {
 		a, b := &m.spans[i], &m.spans[j]
@@ -270,16 +354,20 @@ func MergeTracers(parts ...*Tracer) *Tracer {
 		}
 		return a.lpSeq < b.lpSeq
 	})
-	sort.SliceStable(m.events, func(i, j int) bool {
-		a, b := &m.events[i], &m.events[j]
-		if a.At != b.At {
-			return a.At < b.At
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := &recs[i], &recs[j]
+		if a.at != b.at {
+			return a.at < b.at
 		}
 		if a.lp != b.lp {
 			return a.lp < b.lp
 		}
 		return a.lpSeq < b.lpSeq
 	})
+	if m.max > 0 && len(recs) > m.max {
+		m.dropped += uint64(len(recs) - m.max)
+		recs = recs[:m.max]
+	}
 	// Re-sequence the interleave: a span at (t, lp, n) precedes an
 	// event at (t, lp, m) iff n < m; ties across LPs break low-LP
 	// first, events of the same position after spans (a span's begin
@@ -290,26 +378,27 @@ func MergeTracers(parts ...*Tracer) *Tracer {
 		if si >= len(m.spans) {
 			return false
 		}
-		if ei >= len(m.events) {
+		if ei >= len(recs) {
 			return true
 		}
-		sp, ev := &m.spans[si], &m.events[ei]
-		if sp.Start != ev.At {
-			return sp.Start < ev.At
+		sp, ev := &m.spans[si], &recs[ei]
+		if sp.Start != ev.at {
+			return sp.Start < ev.at
 		}
 		if sp.lp != ev.lp {
 			return sp.lp < ev.lp
 		}
 		return sp.lpSeq < ev.lpSeq
 	}
-	for si < len(m.spans) || ei < len(m.events) {
+	for si < len(m.spans) || ei < len(recs) {
 		seq++
 		if spanFirst() {
 			m.spans[si].seq = seq
 			m.spans[si].ID = SpanID(si)
 			si++
 		} else {
-			m.events[ei].seq = seq
+			recs[ei].seq = seq
+			m.push(recs[ei])
 			ei++
 		}
 	}
@@ -345,10 +434,10 @@ func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }
 // time. The order — and therefore every exported byte — is a pure
 // function of the run.
 func (t *Tracer) merged() []record {
-	out := make([]record, 0, len(t.spans)+len(t.events))
+	out := make([]record, 0, len(t.spans)+t.nEvents)
 	si, ei := 0, 0
-	for si < len(t.spans) || ei < len(t.events) {
-		if ei >= len(t.events) || (si < len(t.spans) && t.spans[si].seq < t.events[ei].seq) {
+	for si < len(t.spans) || ei < t.nEvents {
+		if ei >= t.nEvents || (si < len(t.spans) && t.spans[si].seq < t.rec(ei).seq) {
 			sp := t.spans[si]
 			end := micros(sp.End)
 			out = append(out, record{
@@ -358,10 +447,10 @@ func (t *Tracer) merged() []record {
 			si++
 			continue
 		}
-		ev := t.events[ei]
+		ev := t.rec(ei)
 		out = append(out, record{
-			Type: "event", Cat: ev.Cat, Name: ev.Name,
-			AtUS: micros(ev.At), Args: argMap(ev.Args),
+			Type: "event", Cat: ev.kind.cat, Name: ev.kind.name,
+			AtUS: micros(ev.at), Args: argMap(ev.kind.args),
 		})
 		ei++
 	}
@@ -412,8 +501,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for _, sp := range t.spans {
 		cats[sp.Cat] = true
 	}
-	for _, ev := range t.events {
-		cats[ev.Cat] = true
+	for i := 0; i < t.nEvents; i++ {
+		cats[t.rec(i).kind.cat] = true
 	}
 	sorted := make([]string, 0, len(cats))
 	for c := range cats {
@@ -425,7 +514,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		tid[c] = i + 1
 	}
 
-	out := make([]chromeEvent, 0, len(t.spans)+len(t.events))
+	out := make([]chromeEvent, 0, len(t.spans)+t.nEvents)
 	for _, r := range t.merged() {
 		ce := chromeEvent{
 			Name: r.Name, Cat: r.Cat, TS: r.AtUS,

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ddosim/internal/sim"
 )
@@ -90,6 +92,14 @@ func TestTracerEventCap(t *testing.T) {
 	// Spans are never capped.
 	if id := tr.BeginSpan(0, CatPhase, "deploy"); id != 0 {
 		t.Errorf("span id = %d, want 0", id)
+	}
+}
+
+// TestEventRecordSize pins the event log's footprint: 40 bytes per
+// record, so a chunk is 160 KiB and the 1 Mi default cap 40 MiB.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventRec{}); got != 40 {
+		t.Errorf("eventRec is %d bytes, want 40", got)
 	}
 }
 
@@ -207,5 +217,81 @@ func TestWriteChromeTrace(t *testing.T) {
 	// The recruitment span's duration covers 2s..7s.
 	if !strings.Contains(buf.String(), `"name":"recruitment","cat":"phase","ph":"X","ts":2000000,"dur":5000000`) {
 		t.Error("recruitment span missing expected ts/dur")
+	}
+}
+
+// shardedEmit records n point events from four logical processes, LP
+// i%4 emitting the i-th at (i/4) ms, into the tracer that layout names
+// for that LP. Every tracer shares one per-LP emission counter, as the
+// shards of one run do.
+func shardedEmit(n int, layout [4]*Tracer) {
+	var cur uint32
+	var seqs [4]uint64
+	stamp := func() (uint32, uint64) {
+		seqs[cur]++
+		return cur, seqs[cur]
+	}
+	for _, tr := range layout {
+		tr.SetStamper(stamp)
+	}
+	for i := 0; i < n; i++ {
+		cur = uint32(i % 4)
+		layout[cur].Event(sim.Time(i/4)*sim.Millisecond, CatNet, "queue-drop", KV{"lp", fmt.Sprint(cur)})
+	}
+}
+
+func TestMergeTracersCapsMergedStream(t *testing.T) {
+	const n, max = 40, 6
+	// The same run spread over two shards in two ways: the control
+	// tracer (capped, like the run's main tracer) holds LP 0 in both.
+	merge := func(split int) (*Tracer, *Tracer) {
+		main, s1, s2 := NewTracer(), NewTracer(), NewTracer()
+		main.SetMaxEvents(max)
+		s1.SetMaxEvents(0)
+		s2.SetMaxEvents(0)
+		layout := [4]*Tracer{main, s1, s1, s2}
+		if split == 2 {
+			layout = [4]*Tracer{main, s1, s2, s2}
+		}
+		shardedEmit(n, layout)
+		return main, MergeTracers(main, s1, s2)
+	}
+	main, a := merge(1)
+	if got := len(main.Events()); got != n/4 || main.Dropped() != 0 {
+		t.Errorf("stamped tracer kept %d events, dropped %d; want all %d recorded for the merge", got, main.Dropped(), n/4)
+	}
+	if got := len(a.Events()); got != max {
+		t.Errorf("merged events = %d, want the cap %d", got, max)
+	}
+	if got := a.Dropped(); got != n-max {
+		t.Errorf("merged Dropped() = %d, want %d", got, n-max)
+	}
+	sum := (&Obs{Trace: a}).Summarize()
+	if sum.TraceEvents != max || sum.TraceDropped != n-max {
+		t.Errorf("Summary trace events/dropped = %d/%d, want %d/%d", sum.TraceEvents, sum.TraceDropped, max, n-max)
+	}
+	// The kept events are the first max of the uncapped merged stream.
+	u1, u2, u3 := NewTracer(), NewTracer(), NewTracer()
+	for _, tr := range []*Tracer{u1, u2, u3} {
+		tr.SetMaxEvents(0)
+	}
+	shardedEmit(n, [4]*Tracer{u1, u2, u2, u3})
+	full := MergeTracers(u1, u2, u3).Events()
+	for i, ev := range a.Events() {
+		if ev.At != full[i].At || ev.Args[0] != full[i].Args[0] {
+			t.Errorf("kept event %d = %+v, want %+v", i, ev, full[i])
+		}
+	}
+	// Which events survive does not depend on the LP-to-shard layout.
+	_, b := merge(2)
+	var ja, jb bytes.Buffer
+	if err := a.WriteJSONL(&ja); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteJSONL(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja.Bytes(), jb.Bytes()) || a.Dropped() != b.Dropped() {
+		t.Errorf("capped merge depends on the shard layout:\n%s\nvs\n%s", ja.Bytes(), jb.Bytes())
 	}
 }

@@ -47,10 +47,10 @@ var zeroChunk [lazyChunkSize]byte
 
 // Region is one contiguous mapping in an address space.
 type Region struct {
-	Name string
-	Base uint64
-	Size uint64
-	Perm Perm
+	Name   string
+	Base   uint64
+	Size   uint64
+	Perm   Perm
 	data   []byte   // eager backing (regions <= one chunk)
 	chunks [][]byte // sparse backing (larger regions); nil entry = all zeros
 }
