@@ -51,12 +51,13 @@ func TestRandomIDInBucketLandsInBucket(t *testing.T) {
 	}
 }
 
-func TestProtoRoundTrip(t *testing.T) {
+// sampleMessages holds one message of every type.
+func sampleMessages() []*Message {
 	sender := DeriveID([]byte("s"))
 	key := Key("cmd")
 	c1 := Contact{ID: DeriveID([]byte("c1")), Addr: netip.MustParseAddrPort("10.0.0.1:6881")}
 	c2 := Contact{ID: DeriveID([]byte("c2")), Addr: netip.MustParseAddrPort("[2001:db8::2]:6881")}
-	msgs := []*Message{
+	return []*Message{
 		{Type: tPing, RPC: 7, Sender: sender},
 		{Type: tPong, RPC: 7, Sender: sender},
 		{Type: tFindNode, RPC: 9, Sender: sender, Target: key},
@@ -66,7 +67,10 @@ func TestProtoRoundTrip(t *testing.T) {
 		{Type: tValue, RPC: 12, Sender: sender, Key: key, Seq: 42, Value: []byte("attack-record")},
 		{Type: tStoreOK, RPC: 11, Sender: sender, Key: key},
 	}
-	for _, m := range msgs {
+}
+
+func TestProtoRoundTrip(t *testing.T) {
+	for _, m := range sampleMessages() {
 		got, err := Decode(m.Encode())
 		if err != nil {
 			t.Fatalf("type %d: %v", m.Type, err)

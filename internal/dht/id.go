@@ -9,8 +9,9 @@
 // Determinism contract: a DHT node's entire state is node-local and
 // every peer interaction is a datagram over netsim, so the package is
 // shard-confinement clean by construction. RPC ids come from a
-// per-node counter, shortlists and bucket scans are sorted slices, and
-// the only map lookups are direct-keyed — no map iteration anywhere.
+// per-node counter, lookup shortlists are sorted slices, k-closest
+// queries walk the buckets in a fixed XOR-distance order (Table.Closest),
+// and the only map lookups are direct-keyed — no map iteration anywhere.
 package dht
 
 import (
@@ -80,6 +81,13 @@ func (d Distance) Less(o Distance) bool {
 		}
 	}
 	return false
+}
+
+// bit reports bit i of d, counted from the least significant end (the
+// numbering BucketIndex uses).
+func (d Distance) bit(i int) bool {
+	p := IDBits - 1 - i
+	return d[p/8]&(0x80>>(p%8)) != 0
 }
 
 // IsZero reports whether the distance is zero (identical IDs).

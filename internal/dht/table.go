@@ -1,7 +1,5 @@
 package dht
 
-import "sort"
-
 // Table is the Kademlia routing table: IDBits k-buckets of contacts,
 // bucket i holding peers whose distance from self has its highest set
 // bit at position i. Each bucket is LRU-ordered — index 0 is the
@@ -15,6 +13,8 @@ type Table struct {
 	k       int
 	buckets [IDBits][]Contact
 	size    int
+	// scratch is Closest's per-bucket sort buffer, reused across calls.
+	scratch []rankedContact
 }
 
 // NewTable builds the table for owner self with bucket capacity k.
@@ -97,30 +97,79 @@ func (t *Table) Remove(id ID) {
 	}
 }
 
-// Closest returns up to n contacts sorted by XOR distance to target
-// (ties broken by ID bytes — a total order, so the result is
-// deterministic regardless of insertion history).
+// Closest returns up to n contacts sorted by XOR distance to target.
+//
+// It never sorts the whole table. With D = self XOR target and b =
+// BucketIndex(self, target), a contact c in bucket i sits at distance
+// (c XOR self) XOR D, so whole buckets order by distance: bucket b
+// (distances below 2^b); then buckets i < b whose bit i of D is set,
+// in descending i; then buckets i < b whose bit i of D is clear, in
+// ascending i; then buckets i > b in ascending i. For i < b the
+// distance matches D above bit i and flips D's bit i, so a set bit
+// puts the whole bucket below every lower bucket and a clear bit above
+// them. Only a bucket's own (at most k) entries are sorted, and the
+// walk stops at n. Distinct IDs have distinct distances, so the result
+// equals a full sort's whatever the insertion history.
 func (t *Table) Closest(target ID, n int) []Contact {
-	out := make([]Contact, 0, t.size)
-	for i := range t.buckets {
-		out = append(out, t.buckets[i]...)
+	n = max(0, min(n, t.size))
+	out := make([]Contact, 0, n)
+	// b is -1 when target == self; then only the last walk runs, over
+	// every bucket in ascending order.
+	b := BucketIndex(t.self, target)
+	if b >= 0 {
+		d := t.self.XOR(target)
+		out = t.appendBucket(out, b, target, n)
+		for i := b - 1; i >= 0 && len(out) < n; i-- {
+			if d.bit(i) {
+				out = t.appendBucket(out, i, target, n)
+			}
+		}
+		for i := 0; i < b && len(out) < n; i++ {
+			if !d.bit(i) {
+				out = t.appendBucket(out, i, target, n)
+			}
+		}
 	}
-	sortByDistance(out, target)
-	if len(out) > n {
-		out = out[:n]
+	for i := b + 1; i < IDBits && len(out) < n; i++ {
+		out = t.appendBucket(out, i, target, n)
+	}
+	return out
+}
+
+// rankedContact pairs a contact with its distance to a lookup target.
+type rankedContact struct {
+	d Distance
+	c Contact
+}
+
+// appendBucket appends bucket idx's contacts to out in distance order
+// to target, stopping once out holds n.
+func (t *Table) appendBucket(out []Contact, idx int, target ID, n int) []Contact {
+	bucket := t.buckets[idx]
+	if len(bucket) == 0 {
+		return out
+	}
+	// Insertion sort into the reused scratch buffer: a bucket holds at
+	// most k entries.
+	rs := t.scratch[:0]
+	for _, c := range bucket {
+		r := rankedContact{d: c.ID.XOR(target), c: c}
+		j := len(rs)
+		rs = append(rs, r)
+		for ; j > 0 && r.d.Less(rs[j-1].d); j-- {
+			rs[j] = rs[j-1]
+		}
+		rs[j] = r
+	}
+	t.scratch = rs
+	for _, r := range rs {
+		if len(out) == n {
+			break
+		}
+		out = append(out, r.c)
 	}
 	return out
 }
 
 // BucketLen reports the occupancy of bucket idx (refresh targeting).
 func (t *Table) BucketLen(idx int) int { return len(t.buckets[idx]) }
-
-func sortByDistance(cs []Contact, target ID) {
-	sort.Slice(cs, func(i, j int) bool {
-		di, dj := cs[i].ID.XOR(target), cs[j].ID.XOR(target)
-		if di != dj {
-			return di.Less(dj)
-		}
-		return string(cs[i].ID[:]) < string(cs[j].ID[:])
-	})
-}

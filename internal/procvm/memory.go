@@ -1,8 +1,10 @@
 package procvm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Perm is a bitset of region permissions.
@@ -30,29 +32,33 @@ func (p Perm) String() string {
 	return string(b)
 }
 
-// Lazy backing: regions larger than the chunk size hold a sparse
-// chunk table instead of one eager allocation, and a chunk
-// materializes only when first written. A fleet of processes maps
-// megabytes of text and stack per process, but the exploit path
-// touches a few hundred bytes of stack and the text bytes are never
-// written at all — eager backing made address spaces the dominant
-// memory cost of large-fleet runs.
+// Sparse backing: a region holds only the 4 KiB pages that have been
+// written, sorted by page index, and every other byte reads as zero. A
+// fleet of processes maps megabytes of text and stack per process, but
+// the exploit path touches a few hundred bytes of stack and the text
+// bytes are never written at all — eager backing made address spaces
+// the dominant memory cost of large-fleet runs.
 const (
-	lazyChunkShift = 16 // 64 KiB chunks
-	lazyChunkSize  = 1 << lazyChunkShift
+	pageShift = 12 // 4 KiB pages
+	pageSize  = 1 << pageShift
 )
 
-// zeroChunk is the read source for unmaterialized chunks.
-var zeroChunk [lazyChunkSize]byte
+// zeroPage is the read source for unwritten pages.
+var zeroPage [pageSize]byte
+
+// page is one written page of a region.
+type page struct {
+	idx  uint64 // page index within the region
+	data []byte // pageLen(idx) bytes
+}
 
 // Region is one contiguous mapping in an address space.
 type Region struct {
-	Name   string
-	Base   uint64
-	Size   uint64
-	Perm   Perm
-	data   []byte   // eager backing (regions <= one chunk)
-	chunks [][]byte // sparse backing (larger regions); nil entry = all zeros
+	Name  string
+	Base  uint64
+	Size  uint64
+	Perm  Perm
+	pages []page // written pages, sorted by idx
 }
 
 // Contains reports whether addr falls inside the region.
@@ -77,39 +83,35 @@ func (as *AddressSpace) Map(name string, base, size uint64, perm Perm) *Region {
 		}
 	}
 	reg := &Region{Name: name, Base: base, Size: size, Perm: perm}
-	if size > lazyChunkSize {
-		reg.chunks = make([][]byte, (size+lazyChunkSize-1)>>lazyChunkShift)
-	} else {
-		reg.data = make([]byte, size)
-	}
 	as.regions = append(as.regions, reg)
 	return reg
 }
 
-// chunkLen reports the byte length of chunk ci (the last chunk of a
+// pageLen reports the byte length of page pi (the last page of a
 // region may be short).
-func (r *Region) chunkLen(ci uint64) uint64 {
-	start := ci << lazyChunkShift
-	if rem := r.Size - start; rem < lazyChunkSize {
-		return rem
-	}
-	return lazyChunkSize
+func (r *Region) pageLen(pi uint64) uint64 {
+	return min(pageSize, r.Size-(pi<<pageShift))
+}
+
+// findPage binary-searches the written pages for page pi, reporting
+// its position, or the position it would be inserted at.
+func (r *Region) findPage(pi uint64) (int, bool) {
+	return slices.BinarySearchFunc(r.pages, pi, func(p page, pi uint64) int {
+		return cmp.Compare(p.idx, pi)
+	})
 }
 
 // writeAt copies b into the region starting at off, materializing
-// lazy chunks as it goes, and reports how many bytes fit.
+// pages as it goes, and reports how many bytes fit.
 func (r *Region) writeAt(off uint64, b []byte) int {
-	if r.data != nil {
-		return copy(r.data[off:], b)
-	}
 	total := 0
 	for len(b) > 0 && off < r.Size {
-		ci := off >> lazyChunkShift
-		co := off & (lazyChunkSize - 1)
-		if r.chunks[ci] == nil {
-			r.chunks[ci] = make([]byte, r.chunkLen(ci))
+		pi := off >> pageShift
+		i, ok := r.findPage(pi)
+		if !ok {
+			r.pages = slices.Insert(r.pages, i, page{idx: pi, data: make([]byte, r.pageLen(pi))})
 		}
-		n := copy(r.chunks[ci][co:], b)
+		n := copy(r.pages[i].data[off&(pageSize-1):], b)
 		total += n
 		b = b[n:]
 		off += uint64(n)
@@ -117,25 +119,18 @@ func (r *Region) writeAt(off uint64, b []byte) int {
 	return total
 }
 
-// appendRead appends n bytes starting at off to dst; unmaterialized
-// chunks read as zeros.
+// appendRead appends n bytes starting at off to dst; unwritten pages
+// read as zeros.
 func (r *Region) appendRead(dst []byte, off uint64, n int) []byte {
-	if r.data != nil {
-		return append(dst, r.data[off:off+uint64(n)]...)
-	}
 	for n > 0 {
-		ci := off >> lazyChunkShift
-		co := off & (lazyChunkSize - 1)
-		avail := r.chunkLen(ci) - co
-		take := uint64(n)
-		if take > avail {
-			take = avail
+		pi := off >> pageShift
+		po := off & (pageSize - 1)
+		take := min(uint64(n), r.pageLen(pi)-po)
+		src := zeroPage[:]
+		if i, ok := r.findPage(pi); ok {
+			src = r.pages[i].data
 		}
-		src := zeroChunk[:lazyChunkSize]
-		if c := r.chunks[ci]; c != nil {
-			src = c
-		}
-		dst = append(dst, src[co:co+take]...)
+		dst = append(dst, src[po:po+take]...)
 		n -= int(take)
 		off += take
 	}
