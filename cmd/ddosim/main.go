@@ -10,7 +10,7 @@
 //	ddosim -devs 30 -timeline            # full kill-chain event log
 //	ddosim -devs 30 -trace run.trace.json   # open in Perfetto / chrome://tracing
 //	ddosim -devs 30 -metrics-out run.prom   # Prometheus-style counter dump
-//	ddosim -devs 30 -flows-out run.flows.csv -ts-out run.ts.csv   # labeled flow dataset + windowed metrics
+//	ddosim -devs 30 -flows-out run.flows.csv -ts-out run.ts.csv   # labeled flow dataset + 1 s time series
 //	ddosim -devs 30 -faults intensity=0.5   # canonical fault scenario, half strength
 //	ddosim -devs 30 -faults 'flap:period=60s,down=5s;crash:period=120s' -cnc-replay
 //	ddosim -devs 30 -botnet p2p              # decentralized family: Kademlia overlay, signed records
@@ -59,8 +59,7 @@ func run() error {
 		traceOut  = flag.String("trace", "", "write the run trace to this file (Chrome trace_event JSON; a .jsonl extension selects JSONL)")
 		promOut   = flag.String("metrics-out", "", "write a Prometheus-style metrics dump to this file")
 		flowsOut  = flag.String("flows-out", "", "write the labeled NetFlow-style flow records to this file (CSV; a .jsonl extension selects JSONL)")
-		tsOut     = flag.String("ts-out", "", "write the windowed time-series metrics to this file (CSV; a .jsonl extension selects JSONL)")
-		window    = flag.Float64("window", 1, "time-series window size in seconds")
+		tsOut     = flag.String("ts-out", "", "write the 1 s time-series metrics to this file (CSV; a .jsonl extension selects JSONL)")
 		shards    = flag.Int("shards", 0, "logical-process shards for the parallel kernel (0 = classic single-queue kernel; results are byte-identical across shard counts >= 1)")
 		faultSpec = flag.String("faults", "", "fault-injection spec: \"intensity=0.5\" or \"kind:key=val,...;...\" (kinds: flap|loss|degrade|crash|cnc|sink)")
 		cncReplay = flag.Bool("cnc-replay", false, "C&C replays the attack order (trimmed) to bots that register during the attack window")
@@ -99,9 +98,6 @@ func run() error {
 		return err
 	}
 	cfg.Churn = mode
-	if *shards < 0 {
-		return fmt.Errorf("shards must be >= 0, got %d", *shards)
-	}
 	cfg.Shards = *shards
 	fc, err := ddosim.ParseFaultSpec(*faultSpec)
 	if err != nil {
@@ -109,22 +105,8 @@ func run() error {
 	}
 	cfg.Faults = fc
 	cfg.CNCReplayAttack = *cncReplay
-	switch *botnet {
-	case "mirai", "":
-		cfg.Botnet = ddosim.BotnetMirai
-	case "p2p":
-		cfg.Botnet = ddosim.BotnetP2P
-	default:
-		return fmt.Errorf("unknown botnet family %q (mirai|p2p)", *botnet)
-	}
-	if *cmdWave < 0 {
-		return fmt.Errorf("command-wave must be >= 0, got %v", *cmdWave)
-	}
+	cfg.Botnet = *botnet
 	cfg.CommandWave = ddosim.Time(*cmdWave * float64(ddosim.Second))
-	if *window <= 0 {
-		return fmt.Errorf("window size must be positive, got %v", *window)
-	}
-	cfg.WindowSize = ddosim.Time(*window * float64(ddosim.Second))
 
 	sim, err := ddosim.New(cfg)
 	if err != nil {
@@ -179,8 +161,7 @@ func run() error {
 	fmt.Printf("DDoSim run: %d devs, %s, %ds attack, seed %d\n\n", *devs, mode, *duration, *seed)
 	fmt.Print(r.Summary())
 	if *spark && len(r.PerSecondKbps) > 0 {
-		from := int64(r.AttackIssuedAt / ddosim.Second)
-		fmt.Printf("\nrate: %s\n", sim.Sink().Series().Sparkline(from, from+int64(*duration)))
+		fmt.Printf("\nrate: %s\n", report.Sparkline(r.PerSecondKbps))
 	}
 	if *timeline {
 		fmt.Println("\ntimeline:")

@@ -13,7 +13,7 @@
 //	experiments -exp resilience -seeds 5
 //	experiments -exp all -csv results/
 //	experiments -exp fig2 -trace-dir traces/   # per-run Perfetto traces + metrics
-//	experiments -exp recruit -flows-out flows/ -ts-out ts/   # labeled flow datasets + windowed metrics
+//	experiments -exp recruit -flows-out flows/ -ts-out ts/   # labeled flow datasets + 1 s time series
 package main
 
 import (
@@ -42,20 +42,15 @@ func run() error {
 		csvDir   = flag.String("csv", "", "directory to write CSV files into (optional)")
 		traceDir = flag.String("trace-dir", "", "directory to write per-run Chrome traces and metrics dumps into (optional)")
 		flowsDir = flag.String("flows-out", "", "directory to write per-run labeled flow datasets (<label>.flows.csv) into (optional)")
-		tsDir    = flag.String("ts-out", "", "directory to write per-run windowed time series (<label>.ts.csv) into (optional)")
-		window   = flag.Float64("window", 0, "time-series window size in seconds (0 = default 1 s)")
+		tsDir    = flag.String("ts-out", "", "directory to write per-run 1 s time series (<label>.ts.csv) into (optional)")
 	)
 	flag.Parse()
 
-	if *window < 0 {
-		return fmt.Errorf("window size must not be negative, got %v", *window)
-	}
 	opt := experiments.Options{
 		Quick:    *quick,
 		TraceDir: *traceDir,
 		FlowsDir: *flowsDir,
 		TSDir:    *tsDir,
-		Window:   experiments.Window(*window),
 	}
 	for s := 1; s <= *seeds; s++ {
 		opt.Seeds = append(opt.Seeds, int64(s))

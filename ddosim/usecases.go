@@ -31,15 +31,9 @@ type Timeline = metrics.Timeline
 // Capture is a tcpdump-style packet capture on a node.
 type Capture = netsim.Capture
 
-// FlowMonitor aggregates per-flow statistics on a node.
-type FlowMonitor = netsim.FlowMonitor
-
 // StartCapture installs a packet capture keeping at most max entries
 // (max <= 0 keeps everything).
 func StartCapture(n *Node, max int) *Capture { return netsim.StartCapture(n, max) }
-
-// InstallFlowMonitor attaches a per-flow statistics monitor.
-func InstallFlowMonitor(n *Node) *FlowMonitor { return netsim.InstallFlowMonitor(n) }
 
 // --- Defense testing (§V-A) ---
 

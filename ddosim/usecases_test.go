@@ -9,7 +9,7 @@ import (
 
 // TestUseCaseToolkitEndToEnd drives every §V helper through the
 // public facade on one instrumented run: traffic capture, flow
-// monitoring, feature extraction, detector training, mitigation, and
+// records, feature extraction, detector training, mitigation, and
 // epidemic fitting.
 func TestUseCaseToolkitEndToEnd(t *testing.T) {
 	cfg := smallConfig(15)
@@ -20,7 +20,6 @@ func TestUseCaseToolkitEndToEnd(t *testing.T) {
 	}
 
 	capture := ddosim.StartCapture(sim.TServer(), 1000)
-	flows := ddosim.InstallFlowMonitor(sim.TServer())
 	extractor := ddosim.NewTrafficExtractor(sim.TServer())
 	dst := netip.AddrPortFrom(sim.TServer().Addr4(), 80)
 	if err := ddosim.InstallBenignClients(sim.Star(), dst, 4, "benign"); err != nil {
@@ -39,12 +38,26 @@ func TestUseCaseToolkitEndToEnd(t *testing.T) {
 	if capture.Total() == 0 {
 		t.Fatal("capture saw nothing")
 	}
-	if flows.FlowCount() < 15 {
-		t.Fatalf("flows = %d", flows.FlowCount())
+	// Top talker from the flow records addressed to TServer, summed
+	// per source: offered load at the sender, ground-truth labeled.
+	bytesFrom := make(map[netip.Addr]uint64)
+	var top netip.Addr
+	var topLabel string
+	for _, rec := range sim.Flows().Records() {
+		if rec.Dst.Addr() != sim.TServer().Addr4() {
+			continue
+		}
+		src := rec.Src.Addr()
+		bytesFrom[src] += rec.Bytes
+		if bytesFrom[src] > bytesFrom[top] {
+			top, topLabel = src, rec.Label
+		}
 	}
-	top := flows.TopTalkers(3)
-	if len(top) != 3 || top[0].Stats.Bytes == 0 {
-		t.Fatalf("top talkers = %+v", top)
+	if len(bytesFrom) < 15 {
+		t.Fatalf("sources = %d", len(bytesFrom))
+	}
+	if bytesFrom[top] == 0 || topLabel != "attack" {
+		t.Fatalf("top talker %v: %d bytes, label %q", top, bytesFrom[top], topLabel)
 	}
 
 	// Train and evaluate a detector on extracted windows.

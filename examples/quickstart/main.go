@@ -9,18 +9,14 @@ import (
 	"os"
 
 	"ddosim/ddosim"
+	"ddosim/internal/report"
 )
 
 func main() {
 	cfg := ddosim.DefaultConfig(20)
 	cfg.AttackDuration = 60
 
-	sim, err := ddosim.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quickstart:", err)
-		os.Exit(1)
-	}
-	results, err := sim.Run()
+	results, err := ddosim.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
@@ -46,8 +42,6 @@ func main() {
 	}
 
 	// Per-second received rate at TServer over the attack window.
-	from := int64(results.AttackIssuedAt / ddosim.Second)
-	fmt.Printf("\nTServer per-second rate (kbps): %s\n",
-		sim.Sink().Series().Sparkline(from, from+int64(cfg.AttackDuration)))
+	fmt.Printf("\nTServer per-second rate (kbps): %s\n", report.Sparkline(results.PerSecondKbps))
 	fmt.Printf("answer to R2: %.0f%% of targeted Devs were recruited\n", 100*results.InfectionRate())
 }

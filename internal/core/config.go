@@ -199,9 +199,6 @@ type Config struct {
 	// Zero selects the netsim defaults (60 s / 15 s).
 	FlowActiveTimeout sim.Time
 	FlowIdleTimeout   sim.Time
-	// WindowSize is the aggregation interval of the windowed
-	// time-series artifact. Zero selects 1 s.
-	WindowSize sim.Time
 }
 
 // DefaultConfig returns the paper's baseline parameters for a fleet of
@@ -234,7 +231,6 @@ func DefaultConfig(numDevs int) Config {
 		SeedCount:          1,
 		FlowActiveTimeout:  netsim.DefaultFlowActiveTimeout,
 		FlowIdleTimeout:    netsim.DefaultFlowIdleTimeout,
-		WindowSize:         sim.Second,
 	}
 }
 
@@ -243,7 +239,7 @@ func (c *Config) Validate() error {
 	switch {
 	case c.NumDevs <= 0:
 		return fmt.Errorf("core: NumDevs must be positive, got %d", c.NumDevs)
-	case c.ConnmanFraction < 0 || c.ConnmanFraction > 1:
+	case !(c.ConnmanFraction >= 0 && c.ConnmanFraction <= 1): // NaN fails too
 		return fmt.Errorf("core: ConnmanFraction %v outside [0,1]", c.ConnmanFraction)
 	case c.MinDevRate <= 0 || c.MaxDevRate < c.MinDevRate:
 		return fmt.Errorf("core: bad Dev rate range [%v, %v]", c.MinDevRate, c.MaxDevRate)
@@ -258,13 +254,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: bad churn mode %v", c.Churn)
 	case c.Vector != VectorMemoryError && c.Vector != VectorCredentials:
 		return fmt.Errorf("core: bad recruit vector %v", c.Vector)
-	case c.WeakCredFraction < 0 || c.WeakCredFraction > 1:
+	case !(c.WeakCredFraction >= 0 && c.WeakCredFraction <= 1):
 		return fmt.Errorf("core: WeakCredFraction %v outside [0,1]", c.WeakCredFraction)
-	case c.CanaryFraction < 0 || c.CanaryFraction > 1:
+	case !(c.CanaryFraction >= 0 && c.CanaryFraction <= 1):
 		return fmt.Errorf("core: CanaryFraction %v outside [0,1]", c.CanaryFraction)
 	case c.AttackMethod != "" && !mirai.KnownMethod(c.AttackMethod):
 		return fmt.Errorf("core: unknown attack method %q", c.AttackMethod)
-	case c.FlowActiveTimeout < 0 || c.FlowIdleTimeout < 0 || c.WindowSize < 0:
+	case c.FlowActiveTimeout < 0 || c.FlowIdleTimeout < 0:
 		return fmt.Errorf("core: negative telemetry interval")
 	case c.Shards < 0:
 		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)

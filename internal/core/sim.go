@@ -121,9 +121,6 @@ func New(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = sim.Second
-	}
 	s := &Simulation{
 		cfg:            cfg,
 		timeline:       metrics.NewTimeline(),
@@ -327,13 +324,15 @@ func (s *Simulation) setupTelemetry() {
 	s.net.AddFlowLabelRule(netsim.FlowLabelRule{Addr: atk.Addr4(), Label: "exploit"})
 	s.net.AddFlowLabelRule(netsim.FlowLabelRule{Addr: atk.Addr6(), Label: "exploit"})
 
-	w := obs.NewWindows(s.cfg.WindowSize)
+	// The 1 s grid is the paper's per-second TServer log: row k holds
+	// second k, and assemble computes D_received from sink_rx_bytes.
+	w := obs.NewWindows(sim.Second)
 	w.Column("infected", func() float64 { return float64(s.results.Infected) })
 	w.DeltaColumn("new_infections", func() float64 { return float64(s.results.Infected) })
 	w.Column("bots_registered", func() float64 { return float64(s.results.BotsRegistered) })
 	w.DeltaColumn("net_tx_bytes", func() float64 { return float64(s.net.Stats().TxBytes) })
 	w.DeltaColumn("net_drops", func() float64 { return float64(s.net.Stats().Drops) })
-	w.DeltaColumn("sink_rx_bytes", func() float64 { return float64(s.sink.Series().TotalBytes()) })
+	w.DeltaColumn("sink_rx_bytes", func() float64 { return float64(s.sink.RxBytes()) })
 	w.Column("queue_depth", func() float64 { return float64(s.pending()) })
 	// Mean command→first-flood-packet latency over the window; reading
 	// drains the accumulator (documented side effect — Windows calls
@@ -1045,8 +1044,8 @@ func (s *Simulation) Run() (*Results, error) {
 	watcher.Source = "core.watcher"
 	watcher.Start()
 
-	// Windowed time-series sampler: one row per WindowSize of sim time.
-	windowTicker := sim.NewTicker(s.sched, s.cfg.WindowSize, func() {
+	// Windowed time-series sampler: one row per second of sim time.
+	windowTicker := sim.NewTicker(s.sched, s.windows.Width(), func() {
 		s.windows.Sample(s.sched.Now())
 	})
 	windowTicker.Source = "obs.windows"
@@ -1217,7 +1216,7 @@ func (s *Simulation) assemble() {
 	r.NetStats = s.net.Stats()
 	r.ChurnDepartures = s.churnCtl.Departures()
 	r.ChurnRejoins = s.churnCtl.Rejoins()
-	r.SinkBytes = s.sink.Series().TotalBytes()
+	r.SinkBytes = s.sink.RxBytes()
 	r.DistinctSources = s.sink.DistinctSources()
 	r.Timeline = s.timeline
 	if s.faults != nil {
@@ -1255,10 +1254,9 @@ func (s *Simulation) assemble() {
 	}
 
 	if s.attackIssued {
-		from := int64(r.AttackIssuedAt / sim.Second)
-		to := from + int64(s.cfg.AttackDuration)
-		r.DReceivedKbps = s.sink.Series().AvgReceivedKbps(from, to)
-		r.PerSecondKbps = s.sink.Series().KbpsSeries(from, to)
+		from := int(r.AttackIssuedAt / sim.Second)
+		r.PerSecondKbps, r.DReceivedKbps = netsim.ReceivedKbps(
+			s.windows.Values("sink_rx_bytes", from, from+s.cfg.AttackDuration))
 		r.Usage = resources.Estimate(resources.Inputs{
 			Devs:          s.cfg.NumDevs,
 			PreAttack:     s.preSnap,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -208,6 +209,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SimDuration = 0 },
 		func(c *Config) { c.Churn = churn.Mode(42) },
 		func(c *Config) { c.SimDuration = 50 * sim.Second }, // too short
+		func(c *Config) { c.Shards = -1 },
+		func(c *Config) { c.CommandWave = -sim.Second },
+		func(c *Config) { c.Botnet = "storm" },
+		func(c *Config) { c.ConnmanFraction = math.NaN() },
+		func(c *Config) { c.CanaryFraction = math.NaN() },
+		func(c *Config) { c.WeakCredFraction = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(10)

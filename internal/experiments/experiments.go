@@ -16,7 +16,6 @@ import (
 	"ddosim/internal/churn"
 	"ddosim/internal/core"
 	"ddosim/internal/hardware"
-	"ddosim/internal/sim"
 )
 
 // Options tunes a regeneration run.
@@ -33,22 +32,9 @@ type Options struct {
 	// FlowsDir, when non-empty, writes <label>.flows.csv — the run's
 	// labeled flow-record dataset — per experiment point × seed.
 	FlowsDir string
-	// TSDir, when non-empty, writes <label>.ts.csv — the run's windowed
+	// TSDir, when non-empty, writes <label>.ts.csv — the run's 1 s
 	// time-series metrics — per experiment point × seed.
 	TSDir string
-	// Window overrides the time-series window size (default 1 s).
-	Window sim.Time
-}
-
-// Window converts a window size in (possibly fractional) seconds to
-// sim time, for callers that don't otherwise deal in sim.Time.
-func Window(secs float64) sim.Time { return sim.Time(secs * float64(sim.Second)) }
-
-// apply copies the option overrides that live inside the run config.
-func (o Options) apply(cfg *core.Config) {
-	if o.Window > 0 {
-		cfg.WindowSize = o.Window
-	}
 }
 
 func (o Options) seeds() []int64 {
@@ -153,7 +139,6 @@ func Fig2(opt Options) ([]Fig2Row, error) {
 	return parallelMap(len(jobs), func(i int) (Fig2Row, error) {
 		j := jobs[i]
 		cfg := core.DefaultConfig(j.devs)
-		opt.apply(&cfg)
 		cfg.Churn = j.mode
 		avg, _, err := runAveraged(cfg, fmt.Sprintf("fig2-d%d-%s", j.devs, j.mode), opt)
 		if err != nil {
@@ -217,7 +202,6 @@ func Fig3(opt Options) ([]Fig3Row, error) {
 	return parallelMap(len(jobs), func(i int) (Fig3Row, error) {
 		j := jobs[i]
 		cfg := core.DefaultConfig(j.devs)
-		opt.apply(&cfg)
 		cfg.AttackDuration = j.dur
 		avg, _, err := runAveraged(cfg, fmt.Sprintf("fig3-d%d-dur%d", j.devs, j.dur), opt)
 		if err != nil {
@@ -285,7 +269,6 @@ func Table1(opt Options) ([]Table1Row, error) {
 	return parallelMap(len(devCounts), func(i int) (Table1Row, error) {
 		devs := devCounts[i]
 		cfg := core.DefaultConfig(devs)
-		opt.apply(&cfg)
 		cfg.Seed = opt.seeds()[0]
 		s, err := core.New(cfg)
 		if err != nil {
@@ -345,7 +328,6 @@ func Fig4(opt Options) ([]Fig4Row, error) {
 		var ddosimSum, hwSum float64
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			s, err := core.New(cfg)
 			if err != nil {

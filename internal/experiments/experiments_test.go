@@ -127,7 +127,6 @@ func TestDumpObsWritesTelemetryArtifacts(t *testing.T) {
 		Quick:    true,
 		FlowsDir: filepath.Join(dir, "flows"),
 		TSDir:    filepath.Join(dir, "ts"),
-		Window:   Window(2),
 	}
 	rows, err := Table1(opt)
 	if err != nil {
@@ -153,9 +152,9 @@ func TestDumpObsWritesTelemetryArtifacts(t *testing.T) {
 	if !strings.HasPrefix(string(ts), "window_start_s,infected,") {
 		t.Fatalf("ts csv header = %q", strings.SplitN(string(ts), "\n", 2)[0])
 	}
-	// A 2 s window over the 600 s horizon yields ~300 rows.
-	if n := strings.Count(string(ts), "\n"); n < 250 || n > 350 {
-		t.Fatalf("ts row count = %d, want ~300 (2s windows)", n)
+	// The 1 s grid over the 600 s horizon yields 600 rows plus the header.
+	if n := strings.Count(string(ts), "\n"); n != 601 {
+		t.Fatalf("ts line count = %d, want 601 (600 one-second rows + header)", n)
 	}
 }
 

@@ -70,7 +70,6 @@ func P2P(opt Options) ([]P2PRow, error) {
 		dissemRuns := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Botnet = j.family
 			cfg.SimDuration = 400 * sim.Second

@@ -36,7 +36,6 @@ func Recruitment(opt Options) ([]RecruitRow, error) {
 		timed := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Vector = vector
 			cfg.WeakCredFraction = frac

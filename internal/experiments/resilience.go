@@ -40,7 +40,6 @@ func Resilience(opt Options) ([]ResilienceRow, error) {
 		timed := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Vector = core.VectorCredentials
 			cfg.SimDuration = 900 * sim.Second

@@ -108,12 +108,13 @@ func (c Config) Enabled() bool {
 
 // Validate checks the scenario for contradictions.
 func (c Config) Validate() error {
+	// Range checks are written so that NaN fails them too.
 	switch {
-	case c.BurstLoss < 0 || c.BurstLoss > 1:
+	case !(c.BurstLoss >= 0 && c.BurstLoss <= 1):
 		return fmt.Errorf("faults: BurstLoss %v outside [0,1]", c.BurstLoss)
-	case c.DegradeFactor < 0 || c.DegradeFactor > 1:
+	case !(c.DegradeFactor >= 0 && c.DegradeFactor <= 1):
 		return fmt.Errorf("faults: DegradeFactor %v outside [0,1]", c.DegradeFactor)
-	case c.DegradeQueueFactor < 0 || c.DegradeQueueFactor > 1:
+	case !(c.DegradeQueueFactor >= 0 && c.DegradeQueueFactor <= 1):
 		return fmt.Errorf("faults: DegradeQueueFactor %v outside [0,1]", c.DegradeQueueFactor)
 	case c.FlapMode != "" && c.FlapMode != FlapRandom && c.FlapMode != FlapPeriodic:
 		return fmt.Errorf("faults: unknown FlapMode %q", c.FlapMode)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,6 +28,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{BurstLoss: 1.5},
 		{BurstLoss: -0.1},
 		{DegradeFactor: 2},
+		{BurstLoss: math.NaN()},
+		{DegradePeriod: sim.Second, DegradeFactor: math.NaN()},
+		{DegradeQueueFactor: math.NaN()},
 		{FlapMode: "sometimes"},
 		{FlapPeriod: -sim.Second},
 		{DegradePeriod: sim.Second, DegradeFactor: 0, DegradeQueueFactor: 0},
@@ -72,6 +76,9 @@ func TestParseSpec(t *testing.T) {
 		"crash:period=ten",                     // not a duration
 		"loss:rate=1.2",                        // fails Validate
 		"intensity=2",                          // out of range
+		"intensity=NaN",                        // not in [0,1]
+		"loss:rate=NaN",                        // not in [0,1]
+		"degrade:period=5s,factor=NaN",         // not in [0,1]
 		"degrade:period=5s,factor=0,qfactor=0", // fails Validate
 	} {
 		if _, err := ParseSpec(bad); err == nil {

@@ -33,7 +33,7 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		if val, ok := strings.CutPrefix(clause, "intensity="); ok {
 			x, err := strconv.ParseFloat(val, 64)
-			if err != nil || x < 0 || x > 1 {
+			if err != nil || !(x >= 0 && x <= 1) {
 				return cfg, fmt.Errorf("faults: bad intensity %q (want [0,1])", val)
 			}
 			cfg = merge(cfg, AtIntensity(x))

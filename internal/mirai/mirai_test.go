@@ -7,6 +7,7 @@ import (
 
 	"ddosim/internal/container"
 	"ddosim/internal/netsim"
+	"ddosim/internal/obs/obstest"
 	"ddosim/internal/sim"
 )
 
@@ -211,7 +212,7 @@ func TestUDPPlainFloodReachesTarget(t *testing.T) {
 	// A 500 kbps uplink flooding 512-byte payloads for 10 s delivers
 	// roughly 500kbit*10 = 625 KB of payload; verify the order of
 	// magnitude (headers shave a bit).
-	total := sink.Series().TotalBytes()
+	total := sink.RxBytes()
 	if total < 400_000 || total > 700_000 {
 		t.Fatalf("sink got %d bytes, want ~600KB", total)
 	}
@@ -338,6 +339,7 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := obstest.Seconds(r.sched, sink.RxBytes)
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
 		CNC:        netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 		PingPeriod: 2 * sim.Second,
@@ -365,7 +367,7 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 	}
 	// The replay is trimmed: the bot rejoined well into the 120 s
 	// window, so its flood cannot have run the full duration.
-	if got := sink.Series().KbpsSeries(0, 65+125); len(got) != 0 {
+	if got, _ := netsim.ReceivedKbps(secs(0, 65+125)); len(got) != 0 {
 		secs := 0
 		for _, v := range got {
 			if v > 0 {

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"ddosim/internal/obs/obstest"
 	"ddosim/internal/sim"
 )
 
@@ -15,6 +16,7 @@ func TestOnOffAppAlternatesAndSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := obstest.Seconds(sched, sink.RxBytes)
 	app, err := InstallOnOff(src, OnOffConfig{
 		Dst:    netip.AddrPortFrom(dst.Addr4(), 80),
 		Rate:   200 * Kbps,
@@ -32,14 +34,15 @@ func TestOnOffAppAlternatesAndSends(t *testing.T) {
 	}
 	// Duty cycle ~50%: the average rate over 120 s should be roughly
 	// half the ON rate (wire-size accounting adds headers).
-	avg := sink.Series().AvgReceivedKbps(0, 120)
+	perSec := secs(0, 120)
+	_, avg := ReceivedKbps(perSec)
 	if avg < 50 || avg > 180 {
 		t.Fatalf("average rate %.1f kbps, want ~100-120 (50%% duty at 200 kbps)", avg)
 	}
 	// There must be quiet seconds (OFF periods) and busy ones.
 	quiet, busy := 0, 0
-	for sec := int64(0); sec < 120; sec++ {
-		if sink.Series().BytesAt(sec) == 0 {
+	for _, b := range perSec {
+		if b == 0 {
 			quiet++
 		} else {
 			busy++

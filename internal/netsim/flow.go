@@ -29,9 +29,13 @@ import (
 // ticker), so export timing — and therefore every exported byte — is
 // a pure function of the run.
 
-// The table shares FlowKey (trace.go) with FlowMonitor: both identify
-// a unidirectional flow by (proto, src, dst). FlowKey is comparable,
-// so the hot-path map lookup is alloc-free.
+// FlowKey identifies a unidirectional transport flow by (proto, src,
+// dst). It is comparable, so the hot-path map lookup is alloc-free.
+type FlowKey struct {
+	Proto Protocol
+	Src   netip.AddrPort
+	Dst   netip.AddrPort
+}
 
 // FlowLabelRule assigns a ground-truth label to new flows. A rule
 // matches when every set field does: Endpoint (if valid) must equal

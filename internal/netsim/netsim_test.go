@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ddosim/internal/obs"
+	"ddosim/internal/obs/obstest"
 	"ddosim/internal/sim"
 )
 
@@ -462,6 +463,7 @@ func TestSinkRecordsPerSecond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := obstest.Seconds(sched, sink.RxBytes)
 	sock, _ := a.BindUDP(0, nil)
 	dst := netip.AddrPortFrom(ts.Addr4(), 80)
 	// One 500-byte datagram in second 0, two in second 2.
@@ -479,11 +481,18 @@ func TestSinkRecordsPerSecond(t *testing.T) {
 	// The sink counts on-wire frame sizes (Eq. 2, "total size of the
 	// packets"): 500-byte payload + 42 bytes of Ether/IPv4/UDP.
 	const wire = 500 + 42
-	if got := sink.Series().BytesAt(0); got != wire {
-		t.Fatalf("second 0 bytes = %d, want %d", got, wire)
+	perSec := secs(0, 3)
+	if got := perSec[0]; got != wire {
+		t.Fatalf("second 0 bytes = %v, want %d", got, wire)
 	}
-	if got := sink.Series().BytesAt(2); got != 2*wire {
-		t.Fatalf("second 2 bytes = %d, want %d", got, 2*wire)
+	if got := perSec[1]; got != 0 {
+		t.Fatalf("quiet second 1 bytes = %v, want 0", got)
+	}
+	if got := perSec[2]; got != 2*wire {
+		t.Fatalf("second 2 bytes = %v, want %d", got, 2*wire)
+	}
+	if got := sink.RxBytes(); got != 3*wire {
+		t.Fatalf("RxBytes = %d, want %d", got, 3*wire)
 	}
 	if sink.DistinctSources() != 1 {
 		t.Fatalf("DistinctSources = %d", sink.DistinctSources())
@@ -504,6 +513,7 @@ func TestSinkAvgReceivedMatchesEq2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := obstest.Seconds(sched, sink.RxBytes)
 	sock, _ := a.BindUDP(0, nil)
 	dst := netip.AddrPortFrom(ts.Addr4(), 80)
 	// 1250 bytes per second for 10 seconds = 10 kbps.
@@ -514,8 +524,57 @@ func TestSinkAvgReceivedMatchesEq2(t *testing.T) {
 	if err := sched.Run(20 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	got := sink.Series().AvgReceivedKbps(0, 10)
+	_, got := ReceivedKbps(secs(0, 10))
 	if got < 10.0 || got > 10.5 { // +headers? payload-only: exactly 10
 		t.Fatalf("D_received = %v kbps, want ~10", got)
+	}
+}
+
+func TestReceivedKbpsEq2(t *testing.T) {
+	// Eq. 2: sum of kilobits over the window divided by window seconds.
+	busy := make([]float64, 10)
+	for i := range busy {
+		busy[i] = 1250 // 10 kbit per second
+	}
+	perSec, avg := ReceivedKbps(busy)
+	if avg != 10 || len(perSec) != 10 || perSec[0] != 10 {
+		t.Fatalf("D_received = %v over %v, want 10", avg, perSec)
+	}
+	// Quiet seconds pull the average down, as in the paper's definition.
+	if _, avg := ReceivedKbps(append(busy, make([]float64, 10)...)); avg != 5 {
+		t.Fatalf("D_received over 20s = %v, want 5", avg)
+	}
+	if perSec, avg := ReceivedKbps(nil); avg != 0 || len(perSec) != 0 {
+		t.Fatalf("zero-length window = %v, %v", perSec, avg)
+	}
+}
+
+func TestReceivedKbpsPerSecond(t *testing.T) {
+	// 125 bytes = 1 kbit; quiet seconds stay zero in the series.
+	got, _ := ReceivedKbps([]float64{125, 0, 0})
+	if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("per-second kbps = %v", got)
+	}
+}
+
+// Property: the average over any window equals total-kilobits/width and
+// is never negative.
+func TestPropertyReceivedKbpsConsistent(t *testing.T) {
+	f := func(amounts []uint16) bool {
+		bytes := make([]float64, len(amounts))
+		var total uint64
+		for i, a := range amounts {
+			bytes[i] = float64(a)
+			total += uint64(a)
+		}
+		_, got := ReceivedKbps(bytes)
+		if len(amounts) == 0 {
+			return got == 0
+		}
+		want := float64(total) * 8 / 1000 / float64(len(amounts))
+		return got == want && got >= 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

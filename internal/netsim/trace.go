@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"ddosim/internal/sim"
@@ -11,8 +10,8 @@ import (
 
 // The paper analyzes TServer traffic with Wireshark (hardware
 // scenario) and through NS-3's customizable node (simulation). This
-// file provides the equivalents: a packet capture and a per-flow
-// monitor, both attachable to any node.
+// file provides the capture equivalent, attachable to any node;
+// per-flow accounting is the flow table's job (flow.go).
 
 // CaptureEntry is one captured packet record.
 type CaptureEntry struct {
@@ -137,100 +136,4 @@ func (c *Capture) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// FlowKey identifies a unidirectional transport flow.
-type FlowKey struct {
-	Proto Protocol
-	Src   netip.AddrPort
-	Dst   netip.AddrPort
-}
-
-// FlowStats aggregates one flow.
-type FlowStats struct {
-	Packets uint64
-	Bytes   uint64
-	First   sim.Time
-	Last    sim.Time
-}
-
-// Rate reports the flow's mean payload rate in kbps over its
-// lifetime.
-func (f FlowStats) Rate() float64 {
-	span := (f.Last - f.First).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(f.Bytes) * 8 / 1000 / span
-}
-
-// FlowMonitor aggregates per-flow statistics at a node — the NS-3
-// FlowMonitor counterpart, and the data source for the paper's
-// "examine packets and a wide assortment of network metrics".
-type FlowMonitor struct {
-	flows map[FlowKey]*FlowStats
-}
-
-// InstallFlowMonitor attaches a monitor to node.
-func InstallFlowMonitor(node *Node) *FlowMonitor {
-	m := &FlowMonitor{flows: make(map[FlowKey]*FlowStats)}
-	node.AddTap(func(at sim.Time, pkt *Packet) {
-		key := FlowKey{Proto: pkt.Proto, Src: pkt.Src, Dst: pkt.Dst}
-		st := m.flows[key]
-		if st == nil {
-			st = &FlowStats{First: at}
-			m.flows[key] = st
-		}
-		st.Packets++
-		st.Bytes += uint64(pkt.PayloadSize())
-		st.Last = at
-	})
-	return m
-}
-
-// FlowCount reports the number of distinct flows observed.
-func (m *FlowMonitor) FlowCount() int { return len(m.flows) }
-
-// Flow returns the stats for one flow.
-func (m *FlowMonitor) Flow(key FlowKey) (FlowStats, bool) {
-	st, ok := m.flows[key]
-	if !ok {
-		return FlowStats{}, false
-	}
-	return *st, true
-}
-
-// TopTalkers returns the n flows with the most bytes, descending.
-func (m *FlowMonitor) TopTalkers(n int) []struct {
-	Key   FlowKey
-	Stats FlowStats
-} {
-	type pair struct {
-		Key   FlowKey
-		Stats FlowStats
-	}
-	all := make([]pair, 0, len(m.flows))
-	for k, st := range m.flows { //simlint:allow maporder(collect-then-sort: flows are byte-count-sorted before use)
-		all = append(all, pair{Key: k, Stats: *st})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Stats.Bytes != all[j].Stats.Bytes {
-			return all[i].Stats.Bytes > all[j].Stats.Bytes
-		}
-		return all[i].Key.Src.String() < all[j].Key.Src.String()
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]struct {
-		Key   FlowKey
-		Stats FlowStats
-	}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct {
-			Key   FlowKey
-			Stats FlowStats
-		}{all[i].Key, all[i].Stats}
-	}
-	return out
 }

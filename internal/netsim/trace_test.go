@@ -95,51 +95,6 @@ func TestCaptureFilterProto(t *testing.T) {
 	}
 }
 
-func TestFlowMonitor(t *testing.T) {
-	sched, _, star := newStar(t, 3)
-	ts := star.AttachHost("tserver", 100*Mbps, sim.Millisecond, 0)
-	mon := InstallFlowMonitor(ts)
-	if _, err := ts.BindUDP(80, nil); err != nil {
-		t.Fatal(err)
-	}
-	dst := netip.AddrPortFrom(ts.Addr4(), 80)
-	// Two sources: a heavy one and a light one.
-	heavy := star.AttachHost("heavy", 10*Mbps, sim.Millisecond, 0)
-	light := star.AttachHost("light", 10*Mbps, sim.Millisecond, 0)
-	hs, _ := heavy.BindUDP(0, nil)
-	ls, _ := light.BindUDP(0, nil)
-	for i := 0; i < 10; i++ {
-		hs.SendPadded(dst, nil, 1000)
-	}
-	ls.SendPadded(dst, nil, 50)
-	if err := sched.Run(sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if mon.FlowCount() != 2 {
-		t.Fatalf("flows = %d", mon.FlowCount())
-	}
-	top := mon.TopTalkers(2)
-	if len(top) != 2 {
-		t.Fatalf("top talkers = %d", len(top))
-	}
-	if top[0].Key.Src.Addr() != heavy.Addr4() {
-		t.Fatalf("top talker = %v", top[0].Key)
-	}
-	if top[0].Stats.Bytes != 10000 || top[0].Stats.Packets != 10 {
-		t.Fatalf("heavy stats = %+v", top[0].Stats)
-	}
-	st, ok := mon.Flow(top[1].Key)
-	if !ok || st.Bytes != 50 {
-		t.Fatalf("light flow = %+v ok=%v", st, ok)
-	}
-	if top[0].Stats.Rate() <= 0 {
-		t.Fatal("zero rate for multi-packet flow")
-	}
-	if got := mon.TopTalkers(99); len(got) != 2 {
-		t.Fatalf("TopTalkers(99) = %d", len(got))
-	}
-}
-
 func TestLossRateDropsFraction(t *testing.T) {
 	sched, _, star := newStar(t, 3)
 	a := star.AttachHost("a", 100*Mbps, sim.Millisecond, 0)

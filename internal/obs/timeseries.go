@@ -103,6 +103,29 @@ func (w *Windows) Rows() int {
 	return len(w.rows)
 }
 
+// Values returns the named column over rows [from, to); row k is the
+// window starting at k×Width. Rows past the last closed window read as
+// zero. It panics on a column that was never registered, so a misspelt
+// name cannot pass for a quiet run.
+func (w *Windows) Values(name string, from, to int) []float64 {
+	out := make([]float64, max(to-from, 0))
+	if w == nil {
+		return out
+	}
+	for j := range w.cols {
+		if w.cols[j].name != name {
+			continue
+		}
+		for i := range out {
+			if r := from + i; r >= 0 && r < len(w.rows) {
+				out[i] = w.rows[r][j]
+			}
+		}
+		return out
+	}
+	panic("obs: no time-series column " + strconv.Quote(name))
+}
+
 // fmtFloat renders a float compactly and deterministically.
 func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

@@ -32,6 +32,45 @@ func TestWindowsSampleAndCSV(t *testing.T) {
 	}
 }
 
+func TestWindowsValuesZeroFillsPastLastRow(t *testing.T) {
+	w := NewWindows(sim.Second)
+	sent := 0.0
+	w.DeltaColumn("tx_bytes", func() float64 { return sent })
+	w.Column("gauge", func() float64 { return 7 })
+	sent = 100
+	w.Sample(1 * sim.Second)
+	w.Sample(2 * sim.Second) // a quiet second
+	sent = 130
+	w.Sample(3 * sim.Second)
+
+	got := w.Values("tx_bytes", -1, 5)
+	want := []float64{0, 100, 0, 30, 0, 0}
+	if len(got) != len(want) {
+		t.Fatalf("Values = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Values = %v, want %v", got, want)
+		}
+	}
+	if g := w.Values("gauge", 2, 3); len(g) != 1 || g[0] != 7 {
+		t.Fatalf("gauge row 2 = %v", g)
+	}
+	if g := w.Values("tx_bytes", 3, 3); len(g) != 0 {
+		t.Fatalf("empty range = %v", g)
+	}
+	var nilW *Windows
+	if g := nilW.Values("tx_bytes", 0, 2); len(g) != 2 || g[0] != 0 || g[1] != 0 {
+		t.Fatalf("nil windows = %v", g)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unregistered column read without a panic")
+		}
+	}()
+	w.Values("tx_byte", 0, 1)
+}
+
 func TestWindowsSampleIdempotentAtSameInstant(t *testing.T) {
 	w := NewWindows(sim.Second)
 	calls := 0

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"ddosim/internal/core"
@@ -135,6 +136,25 @@ func SeriesCSV(perSecondKbps []float64, startSec int64) string {
 	b.WriteString("second,kbps\n")
 	for i, v := range perSecondKbps {
 		fmt.Fprintf(&b, "%d,%.3f\n", startSec+int64(i), v)
+	}
+	return b.String()
+}
+
+// Sparkline renders a coarse text plot of a per-second rate series,
+// one block per second scaled to the series maximum, for quick
+// inspection on a terminal.
+func Sparkline(kbps []float64) string {
+	levels := []rune("▁▂▃▄▅▆▇█")
+	maxV := 0.0
+	for _, v := range kbps {
+		maxV = math.Max(maxV, v)
+	}
+	if maxV == 0 {
+		return strings.Repeat("▁", len(kbps))
+	}
+	var b strings.Builder
+	for _, v := range kbps {
+		b.WriteRune(levels[int(v/maxV*float64(len(levels)-1))])
 	}
 	return b.String()
 }

@@ -106,6 +106,19 @@ func TestSeriesCSV(t *testing.T) {
 	}
 }
 
+func TestSparkline(t *testing.T) {
+	if got := Sparkline(make([]float64, 3)); got != "▁▁▁" {
+		t.Fatalf("quiet sparkline = %q", got)
+	}
+	line := []rune(Sparkline([]float64{8, 4}))
+	if len(line) != 2 || line[0] == line[1] {
+		t.Fatalf("sparkline does not distinguish levels: %q", string(line))
+	}
+	if line[0] != '█' {
+		t.Fatalf("series maximum drawn as %q, want the full block", line[0])
+	}
+}
+
 func TestTimelineCSV(t *testing.T) {
 	tl := metrics.NewTimeline()
 	tl.Record(1500*sim.Millisecond, "infected", "dev-1")
