@@ -6,6 +6,7 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,8 +183,24 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
+// Name limits. RFC 1035 caps a name at 255 octets on the wire, which
+// is 253 characters in dotted form; ten pointer hops is the bound Go's
+// own DNS parser applies. Together they keep one hostile datagram from
+// costing more than a few hundred bytes of work per name.
+const (
+	maxNameLen  = 253
+	maxPointers = 10
+)
+
+// readName reads the name starting at off and returns it with the
+// offset just past it. A compression pointer must lead strictly before
+// the segment that holds it, and a name may take at most maxPointers
+// hops. A label may not contain '.': once labels are joined into a
+// string it could not be told from a label boundary, and Encode would
+// split it.
 func readName(b []byte, off int) (string, int, error) {
-	var labels []string
+	var name []byte
+	start, end, hops := off, -1, 0
 	for {
 		if off >= len(b) {
 			return "", 0, ErrTruncated
@@ -191,30 +208,42 @@ func readName(b []byte, off int) (string, int, error) {
 		l := int(b[off])
 		switch {
 		case l == 0:
-			return strings.Join(labels, "."), off + 1, nil
+			if end < 0 {
+				end = off + 1
+			}
+			return string(name), end, nil
 		case l&0xc0 == 0xc0:
-			// Compression pointer: resolve one level (no chains needed
-			// for our traffic).
+			// Compression pointer: the rest of the name is read from
+			// an earlier offset.
 			if off+1 >= len(b) {
 				return "", 0, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(b[off:off+2]) & 0x3fff)
-			if ptr >= off {
+			if ptr >= start || hops == maxPointers {
 				return "", 0, ErrBadName
 			}
-			suffix, _, err := readName(b, ptr)
-			if err != nil {
-				return "", 0, err
+			if end < 0 {
+				end = off + 2
 			}
-			labels = append(labels, suffix)
-			return strings.Join(labels, "."), off + 2, nil
+			hops++
+			off, start = ptr, ptr
 		case l > 63:
 			return "", 0, ErrBadName
 		default:
 			if off+1+l > len(b) {
 				return "", 0, ErrTruncated
 			}
-			labels = append(labels, string(b[off+1:off+1+l]))
+			label := b[off+1 : off+1+l]
+			if bytes.IndexByte(label, '.') >= 0 {
+				return "", 0, ErrBadName
+			}
+			if len(name) > 0 {
+				name = append(name, '.')
+			}
+			name = append(name, label...)
+			if len(name) > maxNameLen {
+				return "", 0, ErrBadName
+			}
 			off += 1 + l
 		}
 	}

@@ -133,6 +133,53 @@ func TestForwardPointerRejected(t *testing.T) {
 	}
 }
 
+// question wraps a hand-built question name in a one-question query.
+func question(name ...byte) []byte {
+	wire := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	return append(append(wire, name...), 0, 1, 0, 1)
+}
+
+func TestMalformedNamesRejected(t *testing.T) {
+	long := []byte{}
+	for i := 0; i < 4; i++ { // 4 × 64 characters > 253
+		long = append(long, 63)
+		long = append(long, bytes.Repeat([]byte{'x'}, 63)...)
+	}
+	// A chain of pointer-only hops: each points at the one before.
+	chain := NewQuery(1, "x", TypeA).Encode()
+	chain[5] = 0 // QDCOUNT patched below
+	qd := 0
+	for prev := 12; qd < maxPointers+2; qd++ {
+		at := len(chain)
+		chain = append(chain, 0xc0, byte(prev), 0, 1, 0, 1)
+		prev = at
+	}
+	chain[5] = byte(qd + 1)
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"dot inside a label", question(2, 'a', '.', 1, 'b', 0)},
+		{"pointer loop", question(1, 'a', 0xc0, 12)},
+		{"name over 253 characters", question(append(long, 0)...)},
+		{"more than ten pointer hops", chain},
+	} {
+		if _, err := Decode(tc.wire); err != ErrBadName {
+			t.Errorf("%s: err = %v, want ErrBadName", tc.name, err)
+		}
+	}
+}
+
+func TestPointerToRootAddsNoLabel(t *testing.T) {
+	got, err := Decode(question(1, 'a', 0xc0, 10)) // offset 10 is a zero byte
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Questions[0].Name != "a" {
+		t.Fatalf("name = %q, want %q", got.Questions[0].Name, "a")
+	}
+}
+
 func TestStringer(t *testing.T) {
 	q := NewQuery(3, "a.b", TypeA)
 	if q.String() == "" {

@@ -3,6 +3,7 @@ package p2pbot
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"ddosim/internal/container"
@@ -81,14 +82,14 @@ type botnet struct {
 	victim netip.AddrPort
 }
 
-func (bn *botnet) runFor(t *testing.T, d sim.Time) {
+func (bn *botnet) runFor(t testing.TB, d sim.Time) {
 	t.Helper()
 	if err := bn.sched.Run(bn.sched.Now() + d); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func newBotnet(t *testing.T, seedVal int64, nBots int) *botnet {
+func newBotnet(t testing.TB, seedVal int64, nBots int) *botnet {
 	t.Helper()
 	sched := sim.NewScheduler(seedVal)
 	star := netsim.NewStar(netsim.New(sched))
@@ -238,6 +239,92 @@ func TestFloodSurvivesSeederTakedown(t *testing.T) {
 	}
 }
 
+// TestHandleRecordVerifiesEachDistinctRecordOnce pins the accepted-
+// record memo: only a byte-identical repeat skips the signature check.
+func TestHandleRecordVerifiesEachDistinctRecordOnce(t *testing.T) {
+	bn := newBotnet(t, 21, 1)
+	bn.runFor(t, sim.Second)
+	bot, botC := bn.bots[0], bn.botCs[0]
+	keySeed, _ := testKey()
+	_, priv := DeriveKey(keySeed)
+	until := bn.sched.Now() + sim.Minute
+	rec := (&Record{Seq: 5, Method: mirai.MethodUDPPlain, Target: bn.victim, Until: until}).Encode(priv)
+	rejections := func() int {
+		n := 0
+		for _, l := range botC.Logs() {
+			if strings.Contains(l, "rejecting record") {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(step string, verifies, seen int, seq uint64, rejected int) {
+		t.Helper()
+		if bot.Verifies != verifies || bot.CommandsSeen != seen || bot.lastSeq != seq || rejections() != rejected {
+			t.Fatalf("%s: Verifies=%d CommandsSeen=%d lastSeq=%d rejections=%d, want %d %d %d %d",
+				step, bot.Verifies, bot.CommandsSeen, bot.lastSeq, rejections(), verifies, seen, seq, rejected)
+		}
+	}
+
+	// The memo must hold its own copy: the caller's buffer (a DHT
+	// reply or STORE payload) is scribbled over after the call.
+	buf := append([]byte(nil), rec...)
+	bot.handleRecord(buf)
+	check("valid record", 1, 1, 5, 0)
+	for i := range buf {
+		buf[i] = 0
+	}
+
+	bot.handleRecord(append([]byte(nil), rec...))
+	check("byte-identical repeat", 1, 1, 5, 0)
+
+	tampered := append([]byte(nil), rec...)
+	tampered[len(tampered)-1] ^= 0x01 // last signature byte; seq still 5
+	bot.handleRecord(tampered)
+	check("tampered copy", 2, 1, 5, 1)
+
+	stale := (&Record{Seq: 4, Method: mirai.MethodUDPPlain, Target: bn.victim, Until: until}).Encode(priv)
+	bot.handleRecord(stale)
+	check("stale record", 3, 1, 5, 1)
+
+	fresh := (&Record{Seq: 6, Method: mirai.MethodSYN, Target: bn.victim, Until: until}).Encode(priv)
+	bot.handleRecord(fresh)
+	check("fresher record", 4, 2, 6, 1)
+	bot.handleRecord(rec)
+	check("superseded record", 5, 2, 6, 1)
+}
+
+// TestFleetVerifiesOncePerRecord: polls answered from each bot's own
+// replica and repeat STORE pushes cost no signature check, so one
+// published record is verified at most once per bot however many
+// poll periods pass.
+func TestFleetVerifiesOncePerRecord(t *testing.T) {
+	bn := newBotnet(t, 21, 10)
+	bn.runFor(t, 30*sim.Second)
+	pollsBefore := 0
+	for _, b := range bn.bots {
+		pollsBefore += b.Polls
+	}
+	bn.seeder.PublishAttack(mirai.MethodUDPPlain, bn.victim, bn.sched.Now()+5*sim.Minute)
+	bn.runFor(t, 60*sim.Second)
+
+	verifies, polls := 0, -pollsBefore
+	for i, b := range bn.bots {
+		if b.CommandsSeen != 1 {
+			t.Fatalf("bot %d saw %d commands, want 1", i, b.CommandsSeen)
+		}
+		verifies += b.Verifies
+		polls += b.Polls
+	}
+	t.Logf("polls=%d verifies=%d", polls, verifies)
+	if verifies > len(bn.bots) {
+		t.Fatalf("%d signature checks for %d bots × 1 record", verifies, len(bn.bots))
+	}
+	if polls < 4*verifies {
+		t.Fatalf("%d polls after publish against %d verifies: want polls several times larger", polls, verifies)
+	}
+}
+
 func TestFresherRecordSupersedes(t *testing.T) {
 	bn := newBotnet(t, 21, 6)
 	bn.runFor(t, 30*sim.Second)
@@ -272,5 +359,35 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	a, b := sig(), sig()
 	if a != b {
 		t.Fatalf("same-seed runs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// BenchmarkHandleRecordRepeat prices one delivery of a record the bot
+// already holds: "identical" is a byte-equal repeat (memo hit),
+// "stale" a distinct older record that still pays the ed25519 check.
+func BenchmarkHandleRecordRepeat(b *testing.B) {
+	keySeed, _ := testKey()
+	_, priv := DeriveKey(keySeed)
+	for _, tc := range []struct {
+		name string
+		seq  uint64
+	}{{"identical", 5}, {"stale", 4}} {
+		b.Run(tc.name, func(b *testing.B) {
+			bn := newBotnet(b, 21, 1)
+			bn.runFor(b, sim.Second)
+			bot := bn.bots[0]
+			until := bn.sched.Now() + sim.Minute
+			bot.handleRecord((&Record{Seq: 5, Method: mirai.MethodUDPPlain, Target: bn.victim, Until: until}).Encode(priv))
+			rec := (&Record{Seq: tc.seq, Method: mirai.MethodUDPPlain, Target: bn.victim, Until: until}).Encode(priv)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bot.handleRecord(rec)
+			}
+			b.StopTimer()
+			if bot.CommandsSeen != 1 {
+				b.Fatalf("CommandsSeen = %d, want 1", bot.CommandsSeen)
+			}
+		})
 	}
 }
